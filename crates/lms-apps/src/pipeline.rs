@@ -15,7 +15,7 @@ use lms_mesh::quality::{mesh_quality, QualityMetric};
 use lms_mesh::{Adjacency, TriMesh};
 use lms_order::{compute_ordering, OrderingKind};
 use lms_part::PartitionMethod;
-use lms_smooth::{PartitionedEngine, ResidentEngine, SmoothEngine, SmoothParams};
+use lms_smooth::{ResidentEngine, SmoothEngine, SmoothParams};
 
 /// One step of an improvement pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,18 +34,13 @@ pub enum Stage {
     /// parallel Jacobi when `params.update` is
     /// [`lms_smooth::UpdateScheme::Jacobi`].
     ParallelSmooth(SmoothParams, usize),
-    /// Laplacian smoothing on the domain-decomposed deterministic engine
-    /// ([`lms_smooth::PartitionedEngine`]): part interiors sweep as
-    /// cache-resident blocks in parallel, interface vertices through the
-    /// colored schedule. Gauss–Seidel parameters only.
-    PartitionedSmooth(SmoothParams, PartitionSpec),
     /// Laplacian smoothing on the resident halo-exchange engine
-    /// ([`lms_smooth::ResidentEngine`]): blocks stay resident for the
-    /// whole stage, interface vertices are smoothed inside their owning
-    /// part with halo deltas exchanged between color steps, one disjoint
-    /// scatter at the end. Gauss–Seidel parameters only; bit-identical
-    /// to [`Stage::PartitionedSmooth`] over the same decomposition and
-    /// the faster of the two.
+    /// ([`lms_smooth::ResidentEngine`]): the mesh is decomposed, part
+    /// interiors sweep as cache-resident blocks in parallel, interface
+    /// vertices are smoothed inside their owning part with halo deltas
+    /// exchanged between color steps, one disjoint scatter at the end.
+    /// Gauss–Seidel parameters only; bit-identical to serial
+    /// Gauss–Seidel under the engine's part-major visit order.
     ResidentSmooth(SmoothParams, PartitionSpec),
     /// Laplacian smoothing on the multi-process distributed resident
     /// engine ([`lms_dist::DistResidentEngine`]): one forked rank
@@ -72,7 +67,6 @@ impl Stage {
             Stage::Untangle(_) => "untangle",
             Stage::Smooth(_) => "smooth",
             Stage::ParallelSmooth(..) => "parsmooth",
-            Stage::PartitionedSmooth(..) => "partsmooth",
             Stage::ResidentSmooth(..) => "ressmooth",
             Stage::DistributedSmooth(..) => "distsmooth",
             Stage::ConstrainedSmooth(..) => "constrained",
@@ -82,7 +76,8 @@ impl Stage {
     }
 }
 
-/// Configuration of a [`Stage::PartitionedSmooth`] stage.
+/// Decomposition of a [`Stage::ResidentSmooth`] or
+/// [`Stage::DistributedSmooth`] stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionSpec {
     /// Number of parts to decompose into.
@@ -183,16 +178,6 @@ impl Pipeline {
     }
 
     /// [`standard`](Self::standard) with the smoothing stage on the
-    /// domain-decomposed deterministic engine.
-    pub fn standard_partitioned(ordering: OrderingKind, spec: PartitionSpec) -> Self {
-        Pipeline::new()
-            .then(Stage::Reorder(ordering))
-            .then(Stage::Untangle(UntangleOptions::default()))
-            .then(Stage::Swap(SwapOptions::default()))
-            .then(Stage::PartitionedSmooth(SmoothParams::paper().with_smart(true), spec))
-    }
-
-    /// [`standard`](Self::standard) with the smoothing stage on the
     /// resident halo-exchange engine.
     pub fn standard_resident(ordering: OrderingKind, spec: PartitionSpec) -> Self {
         Pipeline::new()
@@ -239,11 +224,6 @@ impl Pipeline {
                         lms_smooth::UpdateScheme::Jacobi => engine.smooth_parallel(mesh, *threads),
                     };
                     report.num_iterations()
-                }
-                Stage::PartitionedSmooth(params, spec) => {
-                    let engine =
-                        PartitionedEngine::by_method(mesh, params.clone(), spec.parts, spec.method);
-                    engine.smooth(mesh, spec.threads).num_iterations()
                 }
                 Stage::ResidentSmooth(params, spec) => {
                     let engine =
@@ -360,6 +340,8 @@ mod tests {
         assert_eq!(rp, rp8);
     }
 
+    /// The decomposed smoothing stage reaches the quality of the serial
+    /// standard pipeline and is thread-count invariant.
     #[test]
     fn partitioned_smooth_stage_matches_standard_quality() {
         let base = {
@@ -376,19 +358,22 @@ mod tests {
             ..PartitionSpec::default()
         };
         let mut par = base.clone();
-        let rp = Pipeline::standard_partitioned(OrderingKind::Rdr, spec).run(&mut par);
-        assert_eq!(rp.stages.last().unwrap().stage, "partsmooth");
+        let rp = Pipeline::standard_resident(OrderingKind::Rdr, spec).run(&mut par);
+        assert_eq!(rp.stages.last().unwrap().stage, "ressmooth");
         assert!(rp.final_quality > rp.initial_quality);
         // same fixed-point family as the serial Gauss-Seidel pipeline
         assert!((rs.final_quality - rp.final_quality).abs() < 0.02);
-        // and the partitioned stage is thread-count invariant
+        // and the decomposed stage is thread-count invariant
         let mut par8 = base.clone();
         let spec8 = PartitionSpec { threads: 8, ..spec };
-        let rp8 = Pipeline::standard_partitioned(OrderingKind::Rdr, spec8).run(&mut par8);
+        let rp8 = Pipeline::standard_resident(OrderingKind::Rdr, spec8).run(&mut par8);
         assert_eq!(par.coords(), par8.coords());
         assert_eq!(rp, rp8);
     }
 
+    /// The resident stage is partitioned Gauss-Seidel — serial
+    /// Gauss-Seidel under the decomposition's part-major visit order —
+    /// bit for bit, for any thread count.
     #[test]
     fn resident_smooth_stage_matches_partitioned_bitwise() {
         let base = {
@@ -406,11 +391,17 @@ mod tests {
         let rr = Pipeline::standard_resident(OrderingKind::Rdr, spec).run(&mut res);
         assert_eq!(rr.stages.last().unwrap().stage, "ressmooth");
         assert!(rr.final_quality > rr.initial_quality);
-        // the resident engine is the partitioned engine with the data
-        // movement refactored away — stages must agree bit for bit
-        let mut part = base.clone();
-        Pipeline::standard_partitioned(OrderingKind::Rdr, spec).run(&mut part);
-        assert_eq!(res.coords(), part.coords());
+        let mut ser = base.clone();
+        Pipeline::new()
+            .then(Stage::Reorder(OrderingKind::Rdr))
+            .then(Stage::Untangle(UntangleOptions::default()))
+            .then(Stage::Swap(SwapOptions::default()))
+            .run(&mut ser);
+        let params = SmoothParams::paper().with_smart(true);
+        let order = ResidentEngine::by_method(&ser, params.clone(), spec.parts, spec.method)
+            .part_major_visit_order();
+        SmoothEngine::new(&ser, params).with_visit_order(order).smooth(&mut ser);
+        assert_eq!(res.coords(), ser.coords());
         // and thread-count invariant
         let mut res8 = base.clone();
         let rr8 =

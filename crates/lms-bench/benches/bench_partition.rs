@@ -1,20 +1,20 @@
-//! The partitioned-smoothing benchmark behind the perf-tracking file
+//! The domain-decomposition benchmark behind the perf-tracking file
 //! `BENCH_partition.json`: smart (quality-guarded) smoothing on a 512×512
 //! perturbed grid for 10 sweeps, measured on
 //!
-//! * the **colored parallel** engine at 1 and 2 threads (the PR-1
+//! * the **colored parallel** engine at 1 and 2 threads (the
 //!   deterministic baseline that parallelises across the whole mesh),
-//! * the **partitioned** engine (`PartitionedEngine`, 8-way RCB) at 1 and
-//!   2 threads — per-part cache-resident interior blocks plus a colored
-//!   interface sweep.
+//! * the **resident** engine (`ResidentEngine`, 8-way RCB) at 1 and 2
+//!   threads — per-part cache-resident blocks, interface vertices swept
+//!   inside their owning part with halo-delta exchange.
 //!
 //! Both engines are bitwise-deterministic for any thread count; the
-//! partitioned one is additionally gated here against serial Gauss–Seidel
+//! resident one is additionally gated here against serial Gauss–Seidel
 //! under its part-major visit order (coordinates must match bit for bit).
 //!
 //! Run with `cargo bench -p lms-bench --bench bench_partition`. Set
 //! `LMS_BENCH_GRID` to override the grid side (default 512). The summary
-//! — median ms per run, decomposition metrics, and the partitioned-vs-
+//! — median ms per run, decomposition metrics, and the resident-vs-
 //! colored speedup — is written to `BENCH_partition.json` at the
 //! workspace root.
 
@@ -22,7 +22,7 @@ use criterion::{BenchmarkId, Criterion};
 use lms_bench::experiments::partition::{graded_mesh, profiled_sweep_ns};
 use lms_mesh::Adjacency;
 use lms_part::{partition_mesh, repartition_measured, PartitionMethod};
-use lms_smooth::{PartitionedEngine, ResidentEngine, SmoothEngine, SmoothParams};
+use lms_smooth::{ResidentEngine, SmoothEngine, SmoothParams};
 
 fn grid_side() -> usize {
     std::env::var("LMS_BENCH_GRID").ok().and_then(|s| s.parse().ok()).unwrap_or(512)
@@ -36,19 +36,18 @@ fn bench_partition(c: &mut Criterion) -> lms_part::PartitionStats {
     // fixed 10 sweeps: tol disabled so all engines do identical work
     let params = SmoothParams::paper().with_smart(true).with_max_iters(10).with_tol(-1.0);
     let colored = SmoothEngine::new(&mesh, params.clone());
-    let partitioned =
-        PartitionedEngine::by_method(&mesh, params.clone(), PARTS, PartitionMethod::Rcb);
-    let stats = partitioned.partition().stats();
+    let resident = ResidentEngine::by_method(&mesh, params.clone(), PARTS, PartitionMethod::Rcb);
+    let stats = resident.partition().stats();
 
-    // correctness gate before timing: the partitioned sweep must be
-    // exactly serial Gauss-Seidel under the part-major visit order
+    // correctness gate before timing: the resident sweep must be exactly
+    // serial Gauss-Seidel under the part-major visit order
     let mut a = mesh.clone();
-    partitioned.smooth(&mut a, 2);
+    resident.smooth(&mut a, 2);
     let serial =
-        SmoothEngine::new(&mesh, params).with_visit_order(partitioned.part_major_visit_order());
+        SmoothEngine::new(&mesh, params).with_visit_order(resident.part_major_visit_order());
     let mut b = mesh.clone();
     serial.smooth(&mut b);
-    assert_eq!(a.coords(), b.coords(), "partitioned engine diverged from serial part-major GS");
+    assert_eq!(a.coords(), b.coords(), "resident engine diverged from serial part-major GS");
 
     let mut group = c.benchmark_group("partition");
     group.sample_size(10);
@@ -64,12 +63,12 @@ fn bench_partition(c: &mut Criterion) -> lms_part::PartitionStats {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new(format!("partitioned_{threads}t"), side),
+            BenchmarkId::new(format!("resident_{threads}t"), side),
             &mesh,
             |bch, m| {
                 bch.iter(|| {
                     let mut work = m.clone();
-                    partitioned.smooth(&mut work, threads)
+                    resident.smooth(&mut work, threads)
                 })
             },
         );
@@ -118,7 +117,7 @@ fn export_json(
     // deterministic workloads: background load only ever adds time, so
     // the fastest-sample ratio is the noise-robust speedup estimate
     // (same reasoning as BENCH_smooth.json)
-    let speedup = find("colored_2t", true) / find("partitioned_2t", true);
+    let speedup = find("colored_2t", true) / find("resident_2t", true);
     let ms_list = |ns: &[u64]| {
         ns.iter().map(|&n| format!("{:.3}", n as f64 / 1e6)).collect::<Vec<_>>().join(", ")
     };
@@ -126,6 +125,7 @@ fn export_json(
         (ns.iter().max().copied().unwrap_or(0) - ns.iter().min().copied().unwrap_or(0)) as f64 / 1e6
     };
     let (spread_before, spread_after) = (spread(&rebalance.before_ns), spread(&rebalance.after_ns));
+    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let rebalance_json = format!(
         "  \"measured_rebalance\": {{\n    \"workload\": \"x3-graded {0}x{0} grid, {PARTS} parts, area-balanced rcbw baseline (time-skewed by construction)\",\n    \"per_part_sweep_ms_before\": [{1}],\n    \"per_part_sweep_ms_after\": [{2}],\n    \"spread_ms_before\": {spread_before:.3},\n    \"spread_ms_after\": {spread_after:.3},\n    \"spread_narrowed\": {3},\n    \"note\": \"profiled warm-up sweep times (min of 3 runs) fed back as per-vertex weights into rcb_parts_weighted — the observability loop closed: measured cost drives the repartition\"\n  }},\n",
         rebalance.side,
@@ -134,13 +134,13 @@ fn export_json(
         spread_after < spread_before,
     );
     let json = format!(
-        "{{\n  \"benchmark\": \"partition\",\n  \"workload\": \"smart Gauss-Seidel, {side}x{side} perturbed grid (jitter 0.35, seed 42), 10 sweeps, {PARTS}-way rcb\",\n  \"median_ms\": {{\n    \"colored_1_thread\": {:.2},\n    \"colored_2_threads\": {:.2},\n    \"partitioned_1_thread\": {:.2},\n    \"partitioned_2_threads\": {:.2}\n  }},\n  \"min_ms\": {{\n    \"colored_2_threads\": {:.2},\n    \"partitioned_2_threads\": {:.2}\n  }},\n  \"partition\": {{\n    \"parts\": {PARTS},\n    \"method\": \"rcb\",\n    \"edge_cut\": {},\n    \"interface_vertices\": {},\n    \"interior_vertices\": {},\n    \"interior_interface_ratio\": {:.2},\n    \"halo_ratio\": {:.4},\n    \"imbalance\": {:.4}\n  }},\n  \"partitioned_speedup_vs_colored_2t\": {speedup:.3},\n  \"speedup_estimator\": \"min-vs-min (deterministic workload)\",\n{rebalance_json}  \"coords_bit_identical_to_serial_part_major\": true\n}}\n",
+        "{{\n  \"benchmark\": \"partition\",\n  \"workload\": \"smart Gauss-Seidel, {side}x{side} perturbed grid (jitter 0.35, seed 42), 10 sweeps, {PARTS}-way rcb\",\n  \"median_ms\": {{\n    \"colored_1_thread\": {:.2},\n    \"colored_2_threads\": {:.2},\n    \"resident_1_thread\": {:.2},\n    \"resident_2_threads\": {:.2}\n  }},\n  \"min_ms\": {{\n    \"colored_2_threads\": {:.2},\n    \"resident_2_threads\": {:.2}\n  }},\n  \"partition\": {{\n    \"parts\": {PARTS},\n    \"method\": \"rcb\",\n    \"edge_cut\": {},\n    \"interface_vertices\": {},\n    \"interior_vertices\": {},\n    \"interior_interface_ratio\": {:.2},\n    \"halo_ratio\": {:.4},\n    \"imbalance\": {:.4}\n  }},\n  \"host_cores\": {host_cores},\n  \"resident_speedup_vs_colored_2t\": {speedup:.3},\n  \"speedup_estimator\": \"min-vs-min (deterministic workload)\",\n{rebalance_json}  \"coords_bit_identical_to_serial_part_major\": true\n}}\n",
         find("colored_1t", false),
         find("colored_2t", false),
-        find("partitioned_1t", false),
-        find("partitioned_2t", false),
+        find("resident_1t", false),
+        find("resident_2t", false),
         find("colored_2t", true),
-        find("partitioned_2t", true),
+        find("resident_2t", true),
         stats.edge_cut,
         stats.interface_vertices,
         stats.interior_vertices,

@@ -2,13 +2,11 @@
 //! `BENCH_scaling.json`: smart (quality-guarded) smoothing on a 512×512
 //! perturbed grid for 10 sweeps, swept over threads {1, 2, 4, 8} on
 //!
-//! * the **colored parallel** engine (PR-1 deterministic baseline),
-//! * the **partitioned** engine (PR-2: per-sweep gather/refresh +
-//!   serial write-back + global interface pass),
-//! * the **resident** engine (PR-3: blocks resident for the whole run,
+//! * the **colored parallel** engine (the deterministic baseline),
+//! * the **resident** engine (blocks resident for the whole run,
 //!   halo-delta exchange only, one final disjoint scatter).
 //!
-//! All three are bitwise-deterministic for any thread count; the resident
+//! Both are bitwise-deterministic for any thread count; the resident
 //! engine is additionally gated here against serial Gauss–Seidel under
 //! its part-major visit order (coordinates must match bit for bit).
 //!
@@ -22,7 +20,7 @@
 
 use criterion::{BenchmarkId, Criterion};
 use lms_part::PartitionMethod;
-use lms_smooth::{PartitionedEngine, ResidentEngine, SmoothEngine, SmoothParams};
+use lms_smooth::{ResidentEngine, SmoothEngine, SmoothParams};
 use std::fmt::Write as _;
 
 fn grid_side() -> usize {
@@ -45,8 +43,6 @@ fn bench_scaling(c: &mut Criterion) -> lms_smooth::ExchangeVolume {
     // fixed 10 sweeps: tol disabled so all engines do identical work
     let params = SmoothParams::paper().with_smart(true).with_max_iters(10).with_tol(-1.0);
     let colored = SmoothEngine::new(&mesh, params.clone());
-    let partitioned =
-        PartitionedEngine::by_method(&mesh, params.clone(), PARTS, PartitionMethod::Rcb);
     let resident = ResidentEngine::by_method(&mesh, params.clone(), PARTS, PartitionMethod::Rcb);
 
     // correctness gate before timing: the resident sweep must be exactly
@@ -72,16 +68,6 @@ fn bench_scaling(c: &mut Criterion) -> lms_smooth::ExchangeVolume {
                 bch.iter(|| {
                     let mut work = m.clone();
                     colored.smooth_parallel_colored(&mut work, threads)
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("partitioned_{threads}t"), side),
-            &mesh,
-            |bch, m| {
-                bch.iter(|| {
-                    let mut work = m.clone();
-                    partitioned.smooth(&mut work, threads)
                 })
             },
         );
@@ -148,7 +134,7 @@ fn export_json(c: &Criterion, side: usize, volume: &lms_smooth::ExchangeVolume) 
 
     let mut median = String::new();
     let mut min = String::new();
-    for engine in ["colored", "partitioned", "resident"] {
+    for engine in ["colored", "resident"] {
         for &t in &threads {
             let sep = if median.is_empty() { "" } else { ",\n" };
             let _ = write!(
@@ -178,12 +164,11 @@ fn export_json(c: &Criterion, side: usize, volume: &lms_smooth::ExchangeVolume) 
         }
     };
     let res_self_speedup_4t = ratio(find("resident_1t", true), find("resident_4t", true));
-    let res_vs_pr2_1t = ratio(find("partitioned_1t", true), find("resident_1t", true));
     let (batched_parts, scalar_parts) = per_part_sweep_evidence(side);
     let sweep_speedup =
         ratio(scalar_parts.iter().sum::<u64>() as f64, batched_parts.iter().sum::<u64>() as f64);
     let json = format!(
-        "{{\n  \"benchmark\": \"scaling\",\n  \"workload\": \"smart Gauss-Seidel, {side}x{side} perturbed grid (jitter 0.35, seed 42), 10 sweeps, {PARTS}-way rcb\",\n  \"host_cores\": {host_cores},\n  \"threads\": {threads:?},\n  \"median_ms\": {{\n{median}\n  }},\n  \"min_ms\": {{\n{min}\n  }},\n  \"resident_speedup_4t_vs_1t\": {res_self_speedup_4t},\n  \"resident_speedup_vs_partitioned_1t\": {res_vs_pr2_1t},\n  \"speedup_estimator\": \"min-vs-min (deterministic workload)\",\n  \"note\": \"thread speedups are bounded by host_cores; on a 1-core host every multi-thread time degenerates to the 1-thread time plus dispatch overhead\",\n  \"exchange_volume_per_10_sweeps\": {{\n    \"full_gathers\": {},\n    \"full_scatters\": {},\n    \"exchange_rounds\": {},\n    \"halo_entries_sent\": {}\n  }},\n  \"per_part_sweep_ns\": {{\n    \"soa_batched\": {batched_parts:?},\n    \"scalar\": {scalar_parts:?},\n    \"batched_speedup_vs_scalar\": {sweep_speedup}\n  }},\n  \"coords_bit_identical_to_serial_part_major\": true\n}}\n",
+        "{{\n  \"benchmark\": \"scaling\",\n  \"workload\": \"smart Gauss-Seidel, {side}x{side} perturbed grid (jitter 0.35, seed 42), 10 sweeps, {PARTS}-way rcb\",\n  \"host_cores\": {host_cores},\n  \"threads\": {threads:?},\n  \"median_ms\": {{\n{median}\n  }},\n  \"min_ms\": {{\n{min}\n  }},\n  \"resident_speedup_4t_vs_1t\": {res_self_speedup_4t},\n  \"speedup_estimator\": \"min-vs-min (deterministic workload)\",\n  \"note\": \"thread speedups are bounded by host_cores; on a 1-core host every multi-thread time degenerates to the 1-thread time plus dispatch overhead\",\n  \"exchange_volume_per_10_sweeps\": {{\n    \"full_gathers\": {},\n    \"full_scatters\": {},\n    \"exchange_rounds\": {},\n    \"halo_entries_sent\": {}\n  }},\n  \"per_part_sweep_ns\": {{\n    \"soa_batched\": {batched_parts:?},\n    \"scalar\": {scalar_parts:?},\n    \"batched_speedup_vs_scalar\": {sweep_speedup}\n  }},\n  \"coords_bit_identical_to_serial_part_major\": true\n}}\n",
         volume.full_gathers, volume.full_scatters, volume.exchange_rounds, volume.halo_entries_sent,
     );
     // workspace root (this bench runs with the crate as manifest dir)

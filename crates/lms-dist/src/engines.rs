@@ -12,7 +12,7 @@
 //! included.
 //!
 //! Runs are **fault tolerant**: [`smooth_ft`] drives the process
-//! transport through `lms_smooth::drive_resident_ft`, so a rank that
+//! transport through `lms_smooth::drive_resident_ft_with`, so a rank that
 //! dies, stalls past the read timeout, or corrupts its stream is
 //! detected, respawned from the last iteration-boundary checkpoint, and
 //! the lost work replayed — with a final state bit-identical to a
@@ -30,7 +30,7 @@
 
 use crate::error::DistError;
 use crate::fault::FaultPlan;
-use crate::socket::{Listener, SocketSpec, SocketTransport, Supervisor};
+use crate::socket::{Listener, SocketSpec, Supervisor};
 use crate::transport::ProcessTransport;
 use lms_mesh::TriMesh;
 use lms_mesh3d::{ResidentEngine3, SmoothParams3, TetMesh};
@@ -164,7 +164,7 @@ fn spawn_mode_transport<'a, const C: usize, D: SmoothDomain<C>>(
         TransportMode::TcpLoopback => SocketSpec::tcp_loopback(),
         TransportMode::UnixSocket => SocketSpec::temp_unix(),
     };
-    SocketTransport::spawn_forked(
+    ProcessTransport::spawn_forked(
         &socket_spec,
         dom,
         cfg,
@@ -176,7 +176,6 @@ fn spawn_mode_transport<'a, const C: usize, D: SmoothDomain<C>>(
         options.overlap,
         &options.supervisor,
     )
-    .map(SocketTransport::into_inner)
 }
 
 /// Walk the mode ladder until a rung comes up. A rung failing to
@@ -385,7 +384,7 @@ impl DistResidentEngine {
         );
         let dom = self.inner.engine().domain();
         let cfg = DomainConfig::from(self.inner.engine().params());
-        let mut transport = SocketTransport::listen(
+        let mut transport = ProcessTransport::listen(
             listener,
             &dom,
             &cfg,
@@ -395,8 +394,7 @@ impl DistResidentEngine {
             options.profile,
             options.overlap,
             &options.supervisor,
-        )?
-        .into_inner();
+        )?;
         let result = drive_resident_ft_with(
             &dom,
             &cfg,

@@ -13,11 +13,13 @@
 //!   [`lms_part::ExchangeSchedule`] delivery lists, their rank-addressed
 //!   [`lms_part::MessagePlan`] coalescing, and the wire frames;
 //! * `lms-smooth` owns the *computation* — the per-rank
-//!   [`lms_smooth::ResidentRank`] kernel and the generic
-//!   [`lms_smooth::drive_resident`] loop over a
-//!   [`lms_smooth::ResidentTransport`];
+//!   [`lms_smooth::ResidentRank`] kernel and the one resident drive loop,
+//!   [`lms_smooth::drive_resident_ft_with`], over a
+//!   [`lms_smooth::FtResidentTransport`];
 //! * this crate only *moves bytes*: [`ProcessTransport`] implements the
-//!   five transport operations as frames over pipes, and the
+//!   transport operations as frames over pipes or stream sockets (its
+//!   [`ProcessTransport::spawn`], [`ProcessTransport::spawn_forked`] and
+//!   [`ProcessTransport::listen`] constructors pick the substrate), and the
 //!   [`DistResidentEngine`] / [`DistResidentEngine3`] wrappers reuse the
 //!   in-process engines' construction wholesale.
 //!
@@ -68,9 +70,7 @@ pub use engines::{
 };
 pub use error::DistError;
 pub use fault::{FaultPlan, FaultPoint, WorkerFault, INJECTED_KILL_EXIT, REFUSED_CONNECT_EXIT};
-pub use socket::{
-    serve_standalone_tet, serve_standalone_tri, Listener, SocketSpec, SocketTransport, Supervisor,
-};
+pub use socket::{serve_standalone_tet, serve_standalone_tri, Listener, SocketSpec, Supervisor};
 pub use transport::ProcessTransport;
 
 pub(crate) mod codec {

@@ -27,7 +27,10 @@
 //!   and serve — the `lms-tool dist-worker` entry point, so ranks can
 //!   live on other hosts.
 //!
-//! Streams are converted to [`crate::sys::Fd`] descriptors once
+//! The socket rung is not a transport type of its own: the
+//! [`ProcessTransport::spawn_forked`] and [`ProcessTransport::listen`]
+//! constructors (defined here) build a [`ProcessTransport`] over a socket
+//! link. Streams are converted to [`crate::sys::Fd`] descriptors once
 //! established, so the entire coordinator stack (buffered framing,
 //! timeout reads, EINTR/EAGAIN retry loops) is byte-for-byte the pipe
 //! code path — which is what lets the cross-transport oracle demand
@@ -42,7 +45,6 @@ use lms_part::wire::{Frame, WireError, WIRE_VERSION};
 use lms_part::{ExchangeSchedule, MessagePlan};
 use lms_smooth::domain::{DomainConfig, DomainPoint, SmoothDomain};
 use lms_smooth::resident::{ResidentBlock, ResidentRank};
-use lms_smooth::{ExchangeVolume, FtResidentTransport};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, IntoRawFd};
@@ -310,22 +312,16 @@ impl Drop for Listener {
     }
 }
 
-/// The socket implementation of [`lms_smooth::FtResidentTransport`]: the
-/// [`ProcessTransport`] coordinator core with the byte stream moved from
-/// pipes to supervised sockets. Workers are either forked locally and
-/// dial back over the socket ([`spawn_forked`](Self::spawn_forked)) or
-/// external standalone processes — possibly on other hosts — accepted by
-/// rank id ([`listen`](Self::listen) + [`serve_standalone_tri`] /
+/// The socket constructors of [`ProcessTransport`]: the same coordinator
+/// core (detection, checkpoints, recovery) with the byte stream moved
+/// from pipes to supervised sockets. Workers are either forked locally
+/// and dial back over the socket ([`spawn_forked`](Self::spawn_forked))
+/// or external standalone processes — possibly on other hosts — accepted
+/// by rank id ([`listen`](Self::listen) + [`serve_standalone_tri`] /
 /// [`serve_standalone_tet`] on the worker side).
-pub struct SocketTransport<'a, const C: usize, D: SmoothDomain<C>> {
-    inner: ProcessTransport<'a, C, D>,
-}
-
-impl<'a, const C: usize, D: SmoothDomain<C>> SocketTransport<'a, C, D> {
+impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
     /// Bind `spec`, fork one worker per part, and have each dial back
-    /// with supervised retry/backoff and identify itself by rank. The
-    /// coordinator core (detection, checkpoints, recovery) is exactly
-    /// [`ProcessTransport`]'s.
+    /// with supervised retry/backoff and identify itself by rank.
     #[allow(clippy::too_many_arguments)]
     pub fn spawn_forked(
         spec: &SocketSpec,
@@ -358,7 +354,6 @@ impl<'a, const C: usize, D: SmoothDomain<C>> SocketTransport<'a, C, D> {
             overlap,
             link,
         )
-        .map(|inner| SocketTransport { inner })
     }
 
     /// Serve a rank group of **external** standalone workers: accept one
@@ -395,34 +390,6 @@ impl<'a, const C: usize, D: SmoothDomain<C>> SocketTransport<'a, C, D> {
             overlap,
             link,
         )
-        .map(|inner| SocketTransport { inner })
-    }
-
-    /// The address the rank group is served on.
-    pub fn local_addr(&self) -> &SocketSpec {
-        self.inner.socket_addr().expect("socket transport always has a listener")
-    }
-
-    /// Number of rank connections.
-    pub fn num_ranks(&self) -> usize {
-        self.inner.num_ranks()
-    }
-
-    /// Drain the coordinator-side transport profile (see
-    /// [`ProcessTransport::take_profile`]).
-    pub fn take_profile(&mut self) -> lms_trace::TransportProfile {
-        self.inner.take_profile()
-    }
-
-    /// Orderly teardown (see [`ProcessTransport::shutdown`]).
-    pub fn shutdown(&mut self) -> Result<(), DistError> {
-        self.inner.shutdown()
-    }
-
-    /// Unwrap the shared coordinator core — the engines drive one
-    /// concrete transport type whatever the byte stream underneath.
-    pub fn into_inner(self) -> ProcessTransport<'a, C, D> {
-        self.inner
     }
 }
 
@@ -444,52 +411,6 @@ fn check_rung_veto(spec: &SocketSpec, faults: &FaultPlan) -> Result<(), DistErro
         ))));
     }
     Ok(())
-}
-
-impl<const C: usize, D: SmoothDomain<C>> FtResidentTransport<D::Point>
-    for SocketTransport<'_, C, D>
-{
-    type Error = DistError;
-
-    fn try_gather(&mut self, coords: &[D::Point], scores: &[(f64, bool)]) -> Result<(), DistError> {
-        self.inner.try_gather(coords, scores)
-    }
-
-    fn try_interior_phase(&mut self) -> Result<(), DistError> {
-        self.inner.try_interior_phase()
-    }
-
-    fn try_color_step(
-        &mut self,
-        color: usize,
-        volume: &mut ExchangeVolume,
-    ) -> Result<(), DistError> {
-        self.inner.try_color_step(color, volume)
-    }
-
-    fn try_finish_iteration(
-        &mut self,
-        deltas: &mut Vec<f64>,
-        volume: &mut ExchangeVolume,
-    ) -> Result<(), DistError> {
-        self.inner.try_finish_iteration(deltas, volume)
-    }
-
-    fn try_scatter(&mut self, coords: &mut [D::Point]) -> Result<(), DistError> {
-        self.inner.try_scatter(coords)
-    }
-
-    fn take_checkpoint(&mut self) -> Result<(), DistError> {
-        self.inner.take_checkpoint()
-    }
-
-    fn deferred_checkpoints(&self) -> bool {
-        self.inner.deferred_checkpoints()
-    }
-
-    fn recover(&mut self, failure: &DistError) -> Result<(), DistError> {
-        self.inner.recover(failure)
-    }
 }
 
 /// Connect to a coordinator at `spec` and serve rank `rank` until it

@@ -56,7 +56,7 @@
 //! # Fault tolerance
 //!
 //! The transport implements [`FtResidentTransport`], the fallible,
-//! recoverable transport contract `drive_resident_ft` drives:
+//! recoverable transport contract `drive_resident_ft_with` drives:
 //!
 //! * **Detection** — every coordinator read is bounded by a `poll(2)`
 //!   timeout ([`crate::sys::TimeoutReader`]); a failed read or write is
@@ -84,7 +84,7 @@
 
 use crate::error::DistError;
 use crate::fault::{FaultPlan, WorkerFaults};
-use crate::socket::{Listener, SocketSpec, Supervisor};
+use crate::socket::{Listener, Supervisor};
 use crate::sys::{self, Fd, TimeoutReader, WaitStatus};
 use crate::worker;
 use lms_part::wire::{halo_frame_wire_len, Frame, Reassembly, WireError, WIRE_VERSION};
@@ -390,7 +390,9 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
     }
 
     /// [`spawn`](Self::spawn) generalised over the byte-stream substrate
-    /// — the shared constructor `SocketTransport` builds on.
+    /// — the shared constructor the socket constructors
+    /// ([`spawn_forked`](Self::spawn_forked), [`listen`](Self::listen))
+    /// build on.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn spawn_linked(
         dom: &'a D,
@@ -462,15 +464,6 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
     /// Number of rank processes.
     pub fn num_ranks(&self) -> usize {
         self.ranks.len()
-    }
-
-    /// The socket address the rank group is served on, when the link is
-    /// a socket.
-    pub(crate) fn socket_addr(&self) -> Option<&SocketSpec> {
-        match &self.link {
-            Link::Socket { listener, .. } => Some(listener.target()),
-            Link::Pipes => None,
-        }
     }
 
     /// Establish one rank worker's channel. `armed` selects whether the

@@ -1,12 +1,12 @@
-//! Partitioned and resident (halo-exchange) smoothing of tetrahedral
-//! meshes — the 3D instantiation of `lms-smooth`'s dimension-generic
-//! domain-decomposition engines.
+//! Resident (halo-exchange) smoothing of tetrahedral meshes — the 3D
+//! instantiation of `lms-smooth`'s dimension-generic
+//! domain-decomposition engine.
 //!
-//! Nothing here sweeps: [`PartitionedEngine3`] and [`ResidentEngine3`]
-//! bundle a [`TetDomain`](crate::domain::TetDomain) with an
+//! Nothing here sweeps: [`ResidentEngine3`] bundles a
+//! [`TetDomain`](crate::domain::TetDomain) with an
 //! [`lms_part::Partition`] built by [`crate::domain::partition_tet_mesh`]
-//! and run the **same** generic block builders and drivers as the 2D
-//! [`lms_smooth::PartitionedEngine`] / [`lms_smooth::ResidentEngine`].
+//! and runs the **same** generic block builder and driver as the 2D
+//! [`lms_smooth::ResidentEngine`].
 //! The resident protocol — one full gather, moved-only halo-delta routing
 //! per interface color step along the [`lms_part::ExchangeSchedule`], one
 //! parallel disjoint scatter, [`lms_smooth::ExchangeVolume`] accounting —
@@ -20,105 +20,11 @@ use crate::domain::partition_tet_mesh;
 use crate::mesh::TetMesh;
 use crate::smooth::{SmoothEngine3, SmoothParams3, UpdateScheme3};
 use lms_part::{ExchangeSchedule, Partition, PartitionMethod};
-use lms_smooth::partitioned::{
-    build_part_blocks, interface_classes, part_major_order, smooth_partitioned_on, PartBlock,
-};
 use lms_smooth::resident::{
-    build_resident_blocks, resident_part_major_order, smooth_resident_on,
+    build_resident_blocks, interface_classes, resident_part_major_order, smooth_resident_on,
     smooth_resident_profiled_on, ResidentBlock,
 };
 use lms_smooth::SmoothReport;
-
-/// Domain-decomposed deterministic Gauss–Seidel smoothing of tetrahedral
-/// meshes: part interiors sweep as cache-resident local blocks fully in
-/// parallel, interface vertices run through the colored schedule — the 3D
-/// twin of [`lms_smooth::PartitionedEngine`], sharing its generic sweeps.
-#[derive(Debug, Clone)]
-pub struct PartitionedEngine3 {
-    engine: SmoothEngine3,
-    partition: Partition,
-    blocks: Vec<PartBlock<4>>,
-    interface_classes: Vec<Vec<u32>>,
-}
-
-impl PartitionedEngine3 {
-    /// Build a partitioned 3D engine for `mesh` under `params` and an
-    /// existing decomposition (Gauss–Seidel parameters only).
-    pub fn new(mesh: &TetMesh, params: SmoothParams3, partition: Partition) -> Self {
-        assert_eq!(
-            partition.len(),
-            mesh.num_vertices(),
-            "partition was built for a different mesh"
-        );
-        assert_eq!(
-            params.update,
-            UpdateScheme3::GaussSeidel,
-            "partitioned smoothing is an in-place (Gauss-Seidel) schedule; \
-             use smooth_parallel for deterministic Jacobi"
-        );
-        let engine = SmoothEngine3::new(mesh, params);
-        let interface_classes = interface_classes(engine.interior_color_classes(), &partition);
-        let blocks = build_part_blocks(&engine.domain(), &partition);
-        PartitionedEngine3 { engine, partition, blocks, interface_classes }
-    }
-
-    /// Convenience: decompose `mesh` into `num_parts` with `method`, then
-    /// build the engine.
-    pub fn by_method(
-        mesh: &TetMesh,
-        params: SmoothParams3,
-        num_parts: usize,
-        method: PartitionMethod,
-    ) -> Self {
-        let adj = Adjacency3::build(mesh);
-        let partition = partition_tet_mesh(mesh, &adj, num_parts, method);
-        PartitionedEngine3::new(mesh, params, partition)
-    }
-
-    /// The underlying serial engine (adjacency, boundary, parameters).
-    pub fn engine(&self) -> &SmoothEngine3 {
-        &self.engine
-    }
-
-    /// The decomposition the engine runs on.
-    pub fn partition(&self) -> &Partition {
-        &self.partition
-    }
-
-    /// The interface color classes the coordination phase sweeps.
-    pub fn interface_classes(&self) -> &[Vec<u32>] {
-        &self.interface_classes
-    }
-
-    /// The serial visit order this engine's sweep is exactly equal to
-    /// (feed it to [`SmoothEngine3::with_visit_order`]).
-    pub fn part_major_visit_order(&self) -> Vec<u32> {
-        part_major_order(&self.blocks, &self.interface_classes)
-    }
-
-    /// Partitioned in-place 3D Gauss–Seidel smoothing: race-free,
-    /// bitwise-deterministic for any `num_threads`, exactly serial
-    /// Gauss–Seidel under
-    /// [`part_major_visit_order`](Self::part_major_visit_order).
-    pub fn smooth(&self, mesh: &mut TetMesh, num_threads: usize) -> SmoothReport {
-        assert!(num_threads >= 1, "need at least one thread");
-        assert_eq!(
-            mesh.num_vertices(),
-            self.engine.adjacency().num_vertices(),
-            "engine was built for a different mesh"
-        );
-        let pool = self.engine.pool.get(num_threads);
-        let dom = self.engine.domain();
-        smooth_partitioned_on(
-            &dom,
-            &self.engine.params().domain_config(),
-            &self.blocks,
-            &self.interface_classes,
-            mesh.coords_mut(),
-            &pool,
-        )
-    }
-}
 
 /// Resident-block halo-exchange smoothing of tetrahedral meshes: blocks
 /// stay resident for the whole run, only moved halo deltas travel between
@@ -206,8 +112,8 @@ impl ResidentEngine3 {
         &self.elem_w
     }
 
-    /// The serial visit order this engine's sweep is exactly equal to —
-    /// identical to [`PartitionedEngine3`]'s over the same decomposition.
+    /// The serial visit order this engine's sweep is exactly equal to
+    /// (feed it to [`SmoothEngine3::with_visit_order`]).
     pub fn part_major_visit_order(&self) -> Vec<u32> {
         resident_part_major_order(&self.blocks, &self.interface_classes)
     }
@@ -270,18 +176,6 @@ impl ResidentEngine3 {
     }
 }
 
-/// Convenience: decompose, build the partitioned 3D engine and run it in
-/// one call. Parameters are moved, never cloned.
-pub fn smooth_partitioned3(
-    mesh: &mut TetMesh,
-    params: SmoothParams3,
-    num_parts: usize,
-    method: PartitionMethod,
-    num_threads: usize,
-) -> SmoothReport {
-    PartitionedEngine3::by_method(mesh, params, num_parts, method).smooth(mesh, num_threads)
-}
-
 /// Convenience: decompose, build the resident 3D engine and run it in one
 /// call. Parameters are moved, never cloned.
 pub fn smooth_resident3(
@@ -330,55 +224,17 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_and_resident_agree_bitwise() {
-        let m = perturbed_tet_grid(6, 6, 6, 0.35, 5);
-        let params = SmoothParams3::paper().with_smart(true).with_max_iters(3).with_tol(-1.0);
-        let partitioned =
-            PartitionedEngine3::by_method(&m, params.clone(), 4, PartitionMethod::Rcb);
-        let resident = ResidentEngine3::by_method(&m, params, 4, PartitionMethod::Rcb);
-        let mut a = m.clone();
-        partitioned.smooth(&mut a, 2);
-        let mut b = m.clone();
-        resident.smooth(&mut b, 2);
-        assert_eq!(a.coords(), b.coords());
-        assert_eq!(
-            partitioned.part_major_visit_order(),
-            resident.part_major_visit_order(),
-            "both engines must expose one serial-equivalence order"
-        );
-    }
-
-    #[test]
     fn rejects_jacobi_params() {
         let m = perturbed_tet_grid(4, 4, 4, 0.2, 1);
         let params = SmoothParams3::paper().with_update(UpdateScheme3::Jacobi);
-        for build in [
-            (|m: &TetMesh, p: SmoothParams3| {
-                PartitionedEngine3::by_method(m, p, 2, PartitionMethod::Rcb);
-            }) as fn(&TetMesh, SmoothParams3),
-            |m, p| {
-                ResidentEngine3::by_method(m, p, 2, PartitionMethod::Rcb);
-            },
-        ] {
-            let params = params.clone();
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                build(&m, params);
-            }));
-            assert!(r.is_err());
-        }
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ResidentEngine3::by_method(&m, params, 2, PartitionMethod::Rcb);
+        }));
+        assert!(r.is_err());
     }
 
     #[test]
     fn convenience_wrappers_run() {
-        let mut m = perturbed_tet_grid(6, 6, 5, 0.35, 2);
-        let report = smooth_partitioned3(
-            &mut m,
-            SmoothParams3::paper().with_max_iters(8),
-            3,
-            PartitionMethod::Morton,
-            2,
-        );
-        assert!(report.final_quality > report.initial_quality);
         let mut m = perturbed_tet_grid(6, 6, 5, 0.35, 2);
         let report = smooth_resident3(
             &mut m,

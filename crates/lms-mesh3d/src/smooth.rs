@@ -13,8 +13,8 @@
 //! gone; only the 3D-specific pieces (parameters, the static-chunk Jacobi
 //! engine, the colored class computation) remain.
 //!
-//! Partitioned and resident (halo-exchange) smoothing over a tet-mesh
-//! decomposition live in [`crate::part3`].
+//! Resident (halo-exchange) smoothing over a tet-mesh decomposition
+//! lives in [`crate::part3`].
 
 use crate::adjacency::Adjacency3;
 use crate::boundary::Boundary3;
@@ -179,6 +179,13 @@ impl SmoothEngine3 {
         &self.boundary
     }
 
+    /// The engine-owned worker-pool cache every parallel run draws
+    /// from; its [`spawned_threads`](lms_smooth::PoolCache::spawned_threads)
+    /// counter pins pool reuse per engine.
+    pub fn pool(&self) -> &lms_smooth::PoolCache {
+        &self.pool
+    }
+
     /// The sweep visit order (interior vertices in storage order).
     pub fn visit_order(&self) -> &[u32] {
         &self.visit
@@ -192,7 +199,7 @@ impl SmoothEngine3 {
 
     /// Replace the sweep visit order (the 3D twin of the 2D engine's
     /// iteration-reordering hook, and the serial-equivalence oracle for
-    /// the partitioned/resident 3D engines). Non-interior vertices in
+    /// the resident 3D engine). Non-interior vertices in
     /// `order` are dropped; each interior vertex must appear exactly once.
     pub fn with_visit_order(mut self, order: Vec<u32>) -> Self {
         let filtered: Vec<u32> =
@@ -510,19 +517,19 @@ mod tests {
     #[test]
     fn parallel_engines_spawn_threads_once_per_engine() {
         // thread-pool reuse: repeated smooths on one engine must not grow
-        // the global spawned-thread counter after the first run
+        // the engine's spawned-thread counter after the first run
         let m = perturbed_tet_grid(5, 5, 5, 0.3, 3);
         let params = SmoothParams3::paper().with_max_iters(2).with_tol(-1.0);
         let engine = SmoothEngine3::new(&m, params);
         engine.smooth_parallel(&mut m.clone(), 3);
         engine.smooth_parallel_colored(&mut m.clone(), 3);
-        let after_first = rayon::spawned_thread_count();
+        let after_first = engine.pool().spawned_threads();
         for _ in 0..4 {
             engine.smooth_parallel(&mut m.clone(), 3);
             engine.smooth_parallel_colored(&mut m.clone(), 3);
         }
         assert_eq!(
-            rayon::spawned_thread_count(),
+            engine.pool().spawned_threads(),
             after_first,
             "repeat runs must reuse the engine's parked workers"
         );

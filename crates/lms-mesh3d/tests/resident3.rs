@@ -1,19 +1,20 @@
-//! Property tests for the 3D partitioned/resident halo-exchange engines —
-//! the acceptance gate of the dimension-generic refactor:
+//! Property tests for the 3D resident halo-exchange engine — the
+//! acceptance gate of the dimension-generic refactor:
 //!
 //! * 3D `ResidentEngine3` output is **bit-identical** to serial
 //!   part-major 3D Gauss–Seidel, across threads {1, 2, 4} × parts
 //!   {2, 4, 8}, smart and plain, every partition method;
-//! * resident and partitioned 3D engines agree bit for bit over the same
-//!   decomposition;
+//! * that part-major order is the partitioned Gauss–Seidel order built
+//!   from the decomposition alone (part interiors, then interface colors);
 //! * the residency invariant holds in 3D exactly as in 2D:
 //!   `full_gathers == 1 && full_scatters == 1` for any sweep count, one
 //!   exchange round per color step, per-round traffic bounded by the
 //!   static schedule;
 //! * repeated smooths on one engine spawn no further OS threads
-//!   (persistent-pool regression, via `rayon::spawned_thread_count`).
+//!   (persistent-pool regression, via the engine's own pool spawn
+//!   counter, so concurrently running tests cannot disturb it).
 
-use lms_mesh3d::{PartitionedEngine3, ResidentEngine3, SmoothEngine3, SmoothParams3, TetMesh};
+use lms_mesh3d::{ResidentEngine3, SmoothEngine3, SmoothParams3, TetMesh};
 use lms_part::PartitionMethod;
 use proptest::prelude::*;
 
@@ -80,10 +81,11 @@ proptest! {
         prop_assert_eq!(par.coords(), ser.coords());
     }
 
-    /// Resident and partitioned 3D engines are bit-identical over the
-    /// same decomposition: the residency protocol changes the data
-    /// movement, not one bit of the arithmetic — in 3D exactly as in 2D,
-    /// because both are the same generic code path.
+    /// Resident 3D smoothing is partitioned Gauss–Seidel over the same
+    /// decomposition: each part's movable interior vertices ascending,
+    /// part by part, then the interface color classes — an order built
+    /// here from the partition alone. The residency protocol changes the
+    /// data movement, not one bit of the arithmetic.
     #[test]
     fn resident3_equals_partitioned3(
         mesh in arb_mesh(), smart in any::<bool>(), iters in 1usize..4,
@@ -95,19 +97,37 @@ proptest! {
             .with_tol(-1.0);
         let method = PartitionMethod::ALL[method_ix];
         let resident = ResidentEngine3::by_method(&mesh, params.clone(), PARTS[k_ix], method);
-        let partitioned = PartitionedEngine3::by_method(&mesh, params, PARTS[k_ix], method);
+        let partition = resident.partition();
+        let boundary = resident.engine().boundary();
+        let parts = 0..partition.num_parts();
+
+        // the interface classes color exactly the movable interface vertices
+        let mut colored: Vec<u32> = resident.interface_classes().iter().flatten().copied().collect();
+        colored.sort_unstable();
+        let mut interface: Vec<u32> = parts
+            .clone()
+            .flat_map(|p| partition.interface(p).iter().copied())
+            .filter(|&v| boundary.is_interior(v))
+            .collect();
+        interface.sort_unstable();
+        prop_assert_eq!(colored, interface);
+
+        let mut order: Vec<u32> = parts
+            .flat_map(|p| partition.interior(p).iter().copied())
+            .filter(|&v| boundary.is_interior(v))
+            .collect();
+        order.extend(resident.interface_classes().iter().flatten().copied());
+        prop_assert_eq!(
+            &order,
+            &resident.part_major_visit_order(),
+            "the engine must expose the partitioned serial-equivalence order"
+        );
 
         let mut a = mesh.clone();
         resident.smooth(&mut a, 2);
         let mut b = mesh.clone();
-        partitioned.smooth(&mut b, 2);
-
+        SmoothEngine3::new(&mesh, params).with_visit_order(order).smooth(&mut b);
         prop_assert_eq!(a.coords(), b.coords());
-        prop_assert_eq!(
-            resident.part_major_visit_order(),
-            partitioned.part_major_visit_order(),
-            "both engines must expose one serial-equivalence order"
-        );
     }
 
     /// The residency invariant in 3D: one full gather, one full scatter,
@@ -152,12 +172,12 @@ fn engine3_runs_spawn_threads_once() {
     let engine = ResidentEngine3::by_method(&mesh, params, 4, PartitionMethod::Rcb);
     // first run pays the one-time spawn for this engine's pool
     engine.smooth(&mut mesh.clone(), 3);
-    let after_first = rayon::spawned_thread_count();
+    let after_first = engine.engine().pool().spawned_threads();
     for _ in 0..5 {
         engine.smooth(&mut mesh.clone(), 3);
     }
     assert_eq!(
-        rayon::spawned_thread_count(),
+        engine.engine().pool().spawned_threads(),
         after_first,
         "repeat runs must reuse the engine's parked workers"
     );

@@ -1,16 +1,36 @@
 //! The dimension-generic incremental element-quality cache — the
-//! [`lms_mesh::QualityCache`] protocol lifted onto [`SmoothDomain`].
+//! smoothing hot path's answer to "what did this move do to the mesh
+//! quality?".
 //!
-//! Identical bookkeeping to the 2D original (see its module docs for the
-//! derivation): per-element raw quality `q` and orientation-guarded
-//! quality `g`, constant weights `w_t = Σ_{v ∈ t} 1/deg_t(v)` of the
-//! linear global-quality functional, a Neumaier-compensated running
-//! weighted sum for O(1) convergence tests, an epoch-stamped dirty set
-//! for deferred re-scores, and a canonical-order exact reduction for
-//! reported values. Every update expression is ported verbatim, so on a
-//! triangle domain the cache's states — running sum included — are
-//! bit-identical to the 2D `QualityCache`'s, which is what keeps the
-//! refactored engines' reports pinned to their PR-1..3 behaviour.
+//! Recomputing the mesh quality once per sweep costs O(elements) even
+//! when only a handful of vertices moved. But a vertex move only changes
+//! the quality of its incident elements, and the global quality is a
+//! fixed linear functional of the per-element qualities:
+//!
+//! ```text
+//! mesh_quality = (1/V) · Σ_v (Σ_{t ∋ v} q_t) / deg_t(v)
+//!              = (1/V) · Σ_t q_t · w_t      with w_t = Σ_{v ∈ t} 1/deg_t(v)
+//! ```
+//!
+//! [`DomainQualityCache`] stores per element the raw quality `q` (what
+//! the global statistic sums) and the orientation-guarded quality `g`
+//! (`0` when the element is inverted; what the smart commit test
+//! averages), the constant weights `w_t`, and the running weighted sum
+//! with Neumaier compensation. Engines update it immediately
+//! ([`set_star`](DomainQualityCache::set_star)) when the new scores are
+//! in hand, by moved-vertex list
+//! ([`apply_moves`](DomainQualityCache::apply_moves)) when moves commit
+//! without evaluation, or lazily through an epoch-stamped dirty set
+//! ([`mark_dirty`](DomainQualityCache::mark_dirty) +
+//! [`flush_dirty`](DomainQualityCache::flush_dirty)).
+//!
+//! Two read-outs with different contracts:
+//! [`quality_running`](DomainQualityCache::quality_running) is O(1) and
+//! within a few ulps of the truth — right for per-iteration convergence
+//! tests; [`quality_exact`](DomainQualityCache::quality_exact)
+//! re-reduces the cached values in the canonical order of a from-scratch
+//! recompute and is **bit-identical** to it — right for reported final
+//! qualities (property-tested in `tests/incremental.rs`).
 
 use crate::domain::SmoothDomain;
 use crate::soa::score_elements_batched;
@@ -110,7 +130,7 @@ impl DomainQualityCache {
     /// Batch update for one vertex star: `scores[k]` is the fresh
     /// `(quality, positively_oriented)` of element `ts[k]`. Deltas are
     /// accumulated plainly and folded into the running sum with a single
-    /// compensated add — exactly `QualityCache::set_star`.
+    /// compensated add.
     #[inline]
     pub fn set_star(&mut self, ts: &[u32], scores: &[(f64, bool)]) {
         debug_assert_eq!(ts.len(), scores.len());
@@ -269,7 +289,7 @@ mod tests {
     use super::*;
     use crate::domain::TriDomain;
     use lms_mesh::quality::{mesh_quality, QualityMetric};
-    use lms_mesh::{generators, Adjacency, Boundary, Point2, QualityCache, TriMesh};
+    use lms_mesh::{generators, Adjacency, Boundary, Point2, TriMesh};
 
     fn setup(seed: u64) -> (TriMesh, Adjacency, Boundary) {
         let m = generators::perturbed_grid(14, 14, 0.35, seed);
@@ -278,22 +298,27 @@ mod tests {
         (m, adj, b)
     }
 
-    /// The generic cache must mirror the 2D `QualityCache` bit for bit:
-    /// same exact quality, same running sum, through builds and updates.
+    /// Running sum within ulps of the truth (the compensated sum is not
+    /// a canonical-order reduction, so it is compared with a tolerance).
+    fn assert_running_tracks(cache: &DomainQualityCache, fresh: f64) {
+        let running = cache.quality_running();
+        assert!((running - fresh).abs() <= 1e-12 * fresh.abs(), "{running} vs {fresh}");
+    }
+
+    /// The generic cache must match a from-scratch recompute: exact
+    /// quality bit for bit, running sum to ulps, through builds and
+    /// updates.
     #[test]
-    fn generic_cache_matches_2d_cache_bitwise() {
+    fn generic_cache_matches_a_fresh_recompute() {
         for seed in [1u64, 5, 9] {
             let (mut m, adj, b) = setup(seed);
             let metric = QualityMetric::EdgeLengthRatio;
             let tris: Vec<[u32; 3]> = m.triangles().to_vec();
             let dom = TriDomain::new(&adj, &b, &tris, metric);
             let mut gen_cache = DomainQualityCache::build(&dom, m.coords());
-            let mut cache2d = QualityCache::build(&m, &adj, metric);
-            assert_eq!(
-                gen_cache.quality_exact(&dom).to_bits(),
-                cache2d.quality_exact(&adj).to_bits()
-            );
-            assert_eq!(gen_cache.quality_running().to_bits(), cache2d.quality_running().to_bits());
+            let fresh = mesh_quality(&m, &adj, metric);
+            assert_eq!(gen_cache.quality_exact(&dom).to_bits(), fresh.to_bits());
+            assert_running_tracks(&gen_cache, fresh);
 
             // move a batch of interior vertices, update both caches by the
             // moved list, compare again
@@ -305,23 +330,21 @@ mod tests {
                 m.coords_mut()[v as usize] = Point2::new(p.x + s, p.y - s * 0.5);
             }
             gen_cache.apply_moves(&dom, &movers, m.coords());
-            cache2d.apply_moves(&movers, &adj, m.coords(), &tris);
-            assert_eq!(
-                gen_cache.quality_exact(&dom).to_bits(),
-                cache2d.quality_exact(&adj).to_bits()
-            );
-            assert_eq!(gen_cache.quality_running().to_bits(), cache2d.quality_running().to_bits());
             let fresh = mesh_quality(&m, &adj, metric);
             assert_eq!(gen_cache.quality_exact(&dom).to_bits(), fresh.to_bits());
+            assert_running_tracks(&gen_cache, fresh);
 
-            // star update parity
+            // star update after one more move
             let v = movers[0];
+            let p = m.coords()[v as usize];
+            m.coords_mut()[v as usize] = Point2::new(p.x - 0.01, p.y + 0.015);
             let ts = adj.triangles_of(v);
             let scores: Vec<(f64, bool)> =
                 ts.iter().map(|&t| dom.score(m.coords(), tris[t as usize])).collect();
             gen_cache.set_star(ts, &scores);
-            cache2d.set_star(ts, &scores);
-            assert_eq!(gen_cache.quality_running().to_bits(), cache2d.quality_running().to_bits());
+            let fresh = mesh_quality(&m, &adj, metric);
+            assert_eq!(gen_cache.quality_exact(&dom).to_bits(), fresh.to_bits());
+            assert_running_tracks(&gen_cache, fresh);
         }
     }
 

@@ -17,9 +17,8 @@ use lms_mesh::{Adjacency, Boundary, TriMesh};
 /// after further perturbation) without re-deriving topology.
 ///
 /// The triangle connectivity is held behind an [`Arc`]: cloning the engine
-/// (or handing the connectivity to the colored parallel engine or an
-/// external [`lms_mesh::QualityCache`] consumer) shares one allocation
-/// instead of copying the array per engine.
+/// (or handing the connectivity to the colored parallel engine) shares
+/// one allocation instead of copying the array per engine.
 #[derive(Debug, Clone)]
 pub struct SmoothEngine {
     pub(crate) params: SmoothParams,
@@ -82,7 +81,7 @@ impl SmoothEngine {
     /// The engine's [`crate::domain::SmoothDomain`] view: the borrowed
     /// (adjacency, boundary, connectivity, metric) bundle every generic
     /// sweep in [`crate::kernel`] / [`crate::colored`] /
-    /// [`crate::partitioned`] / [`crate::resident`] runs against.
+    /// [`crate::resident`] runs against.
     pub fn domain(&self) -> crate::domain::TriDomain<'_> {
         crate::domain::TriDomain::new(
             &self.adj,
@@ -174,6 +173,13 @@ impl SmoothEngine {
         &self.boundary
     }
 
+    /// The engine-owned worker-pool cache every parallel run draws
+    /// from; its [`spawned_threads`](crate::PoolCache::spawned_threads)
+    /// counter pins pool reuse per engine.
+    pub fn pool(&self) -> &crate::pool::PoolCache {
+        &self.pool
+    }
+
     /// The sweep visit order (interior vertices).
     pub fn visit_order(&self) -> &[u32] {
         &self.visit
@@ -183,7 +189,7 @@ impl SmoothEngine {
     ///
     /// Runs the incremental-quality hot path (see [`crate::kernel`]): the
     /// per-iteration convergence statistics and the smart-commit "before"
-    /// qualities come from an [`lms_mesh::QualityCache`] that re-scores
+    /// qualities come from a [`crate::DomainQualityCache`] that re-scores
     /// only the triangles a move touched, instead of recomputing the whole
     /// mesh quality every sweep. Produces bit-identical coordinates to
     /// [`smooth_full_recompute`](Self::smooth_full_recompute) for any

@@ -13,11 +13,15 @@
 //!   Gauss–Seidel: race-free **and** bitwise-deterministic for any thread
 //!   count, driven by the same incremental quality cache as the serial
 //!   hot path;
-//! * [`PartitionedEngine::smooth`] — domain-decomposed in-place
-//!   Gauss–Seidel over an `lms-part` decomposition: part interiors sweep
-//!   as contiguous cache-resident blocks fully in parallel, interface
-//!   vertices run through the colored machinery; bitwise-deterministic
-//!   and exactly serial Gauss–Seidel under the part-major visit order;
+//! * [`ResidentEngine::smooth`] — domain-decomposed in-place
+//!   Gauss–Seidel over an `lms-part` decomposition: part blocks stay
+//!   resident for the whole run, interiors sweep as contiguous
+//!   cache-resident blocks fully in parallel, interface vertices are
+//!   smoothed inside their owning part with halo deltas exchanged between
+//!   color steps; bitwise-deterministic and exactly serial Gauss–Seidel
+//!   under the part-major visit order. Every resident run goes through
+//!   one transport trait ([`FtResidentTransport`]) and one driver
+//!   ([`drive_resident_ft_with`]);
 //! * [`SmoothEngine::smooth_traced`] — any serial configuration while
 //!   streaming every vertex-record access to an [`AccessSink`], feeding the
 //!   reuse-distance and cache analyses of `lms-cache`.
@@ -27,8 +31,7 @@
 //! with the [`dcache::DomainQualityCache`] carrying the incremental
 //! quality protocol): the 2D `TriMesh` instantiations live here, and
 //! `lms-mesh3d` instantiates the *same* sweep bodies for tetrahedra —
-//! `SmoothEngine3`, `PartitionedEngine3` and `ResidentEngine3` are thin
-//! wrappers, not copies.
+//! `SmoothEngine3` and `ResidentEngine3` are thin wrappers, not copies.
 //!
 //! ```
 //! use lms_smooth::SmoothParams;
@@ -45,7 +48,6 @@ pub mod engine;
 pub mod greedy;
 pub mod kernel;
 pub mod parallel;
-pub mod partitioned;
 pub mod pool;
 pub mod rebalance;
 pub mod resident;
@@ -65,7 +67,6 @@ pub use domain::{
 pub use engine::SmoothEngine;
 pub use greedy::greedy_visit_order;
 pub use parallel::{parallel_mesh_quality, smooth_parallel};
-pub use partitioned::{smooth_partitioned, PartitionedEngine};
 pub use pool::PoolCache;
 pub use rebalance::{sweep_spread, AutoRebalanceEngine, RebalancePolicy};
 pub use resident::{smooth_resident, PairBatch, ResidentEngine, ResidentRank};
@@ -73,7 +74,6 @@ pub use soa::{score_elements_batched, scratch_grow_count, SoaCoords, SoaLike, So
 pub use stats::{ExchangeVolume, IterationStats, SmoothReport};
 pub use trace::{AccessSink, CountSink, NullSink, VecSink};
 pub use transport::{
-    drive_resident, drive_resident_ft, drive_resident_ft_with, drive_resident_with, FtPolicy,
-    FtResidentTransport, FtStats, InProcessTransport, ResidentTransport,
+    drive_resident_ft_with, FtPolicy, FtResidentTransport, FtStats, InProcessTransport,
 };
 pub use weighting::weighted_candidate;

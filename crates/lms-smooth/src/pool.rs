@@ -7,7 +7,7 @@
 //! `num_threads − 1` spawns *per run*. [`PoolCache`] moves that cost to
 //! once per engine lifetime: the first run at a given thread count builds
 //! the pool, every later run at the same count reuses the parked workers
-//! (regression-tested against [`rayon::spawned_thread_count`]).
+//! (regression-tested against [`PoolCache::spawned_threads`]).
 //!
 //! The cache holds the single most recent thread count — engines are
 //! benchmarked at one count per configuration, and a changed count is a
@@ -16,6 +16,7 @@
 //! Public since the dimension-generic refactor: the 3D engines in
 //! `lms-mesh3d` cache their pools through the same type.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A lazily-built, engine-owned [`rayon::ThreadPool`] keyed by thread
@@ -24,11 +25,21 @@ use std::sync::{Arc, Mutex};
 /// equality.
 pub struct PoolCache {
     slot: Mutex<Option<(usize, Arc<rayon::ThreadPool>)>>,
+    /// OS threads spawned by every pool this cache has built.
+    spawned: AtomicUsize,
 }
 
 impl PoolCache {
     pub fn new() -> Self {
-        PoolCache { slot: Mutex::new(None) }
+        PoolCache { slot: Mutex::new(None), spawned: AtomicUsize::new(0) }
+    }
+
+    /// Total OS threads spawned by every pool this cache has built —
+    /// a rebuilt pool adds its workers, a reused one adds nothing. The
+    /// counter is private to this cache, so "repeat runs spawn zero
+    /// threads" can be checked per engine whatever else the process runs.
+    pub fn spawned_threads(&self) -> usize {
+        self.spawned.load(Ordering::Relaxed)
     }
 
     /// The cached pool for `num_threads`, building (and caching) it on the
@@ -47,6 +58,7 @@ impl PoolCache {
                 .build()
                 .expect("rayon pool construction cannot fail with a positive thread count"),
         );
+        self.spawned.fetch_add(pool.spawned_threads(), Ordering::Relaxed);
         *slot = Some((num_threads, Arc::clone(&pool)));
         pool
     }
@@ -90,6 +102,18 @@ mod tests {
         let b = cache.get(3);
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(b.current_num_threads(), 3);
+    }
+
+    #[test]
+    fn spawn_counter_counts_every_built_pool() {
+        let cache = PoolCache::new();
+        cache.get(3);
+        assert_eq!(cache.spawned_threads(), 2);
+        cache.get(3);
+        assert_eq!(cache.spawned_threads(), 2, "a reused pool spawns nothing");
+        cache.get(2);
+        assert_eq!(cache.spawned_threads(), 3, "a rebuilt pool still counts");
+        assert_eq!(cache.clone().spawned_threads(), 0, "a clone starts empty");
     }
 
     #[test]

@@ -1,20 +1,13 @@
 //! Resident-block partitioned smoothing with halo-delta exchange — the
-//! distributed-memory-shaped successor of [`crate::partitioned`].
+//! in-process domain-decomposition engine.
 //!
-//! The PR-2 [`PartitionedEngine`](crate::PartitionedEngine) keeps the
-//! global mesh authoritative: every sweep re-gathers interface coordinates
-//! and frontier scores into the part blocks, writes every part's commits
-//! back serially, and runs the interface vertices through a *global*
-//! colored pass. Those per-sweep ping-pongs are exactly the traffic a
-//! distributed-memory implementation cannot afford — and they are why its
-//! 2-thread time sat on top of its 1-thread time.
-//!
-//! This engine makes the blocks **resident for the whole run**:
+//! The engine decomposes the mesh with [`lms_part`] and keeps every
+//! part's block **resident for the whole run**:
 //!
 //! * each part gathers its owned + halo coordinates and its local element
 //!   scores **once** (the single full gather);
-//! * interiors sweep exactly as in PR-2 — serial ascending inside the
-//!   part, fully parallel across parts;
+//! * part interiors sweep serial ascending inside the part, fully
+//!   parallel across parts, as contiguous cache-resident blocks;
 //! * interface vertices are smoothed **inside their owning part**, in
 //!   global color order: within a color class no two vertices are adjacent
 //!   or share an element (even across parts), so each part commits its
@@ -28,16 +21,15 @@
 //! * the global mesh is written back in **one parallel disjoint scatter**
 //!   at the end (parts own disjoint vertex sets).
 //!
-//! Since PR 5 the *protocol* lives in two layers. The per-part compute —
-//! local sweeps, delta application, per-pair outbox batching, the
-//! `Σ w_t·Δq_t` stat accumulation — is [`ResidentRank`], and the data
-//! movement between ranks is a [`crate::transport::ResidentTransport`]
-//! driven by the generic [`crate::transport::drive_resident`] loop.
+//! The protocol lives in two layers. The per-part compute — local
+//! sweeps, delta application, per-pair outbox batching, the `Σ w_t·Δq_t`
+//! stat accumulation — is [`ResidentRank`], and the data movement between
+//! ranks is a [`crate::transport::FtResidentTransport`] driven by the one
+//! resident loop, [`crate::transport::drive_resident_ft_with`].
 //! [`smooth_resident_on`] (and therefore this [`ResidentEngine`] and
-//! `lms-mesh3d`'s `ResidentEngine3`) runs the
-//! [`InProcessTransport`](crate::transport::InProcessTransport); the
-//! `lms-dist` crate runs the identical ranks as forked worker processes
-//! over Unix pipes, exchanging the same batches as
+//! `lms-mesh3d`'s `ResidentEngine3`) runs the [`InProcessTransport`]; the
+//! `lms-dist` crate runs the identical ranks as separate worker processes
+//! through the same loop, exchanging the same batches as
 //! [`lms_part::wire`] frames — property-tested bit-identical, coordinates
 //! *and* reports.
 //!
@@ -54,16 +46,16 @@
 //! corner), and every part accumulates `w_t·Δq_t` over its own commits and
 //! halo re-scores. Part deltas fold into a Neumaier-compensated running
 //! sum in part order, so reports are bitwise-deterministic for any thread
-//! count; like PR-2's running sum it tracks the exact quality to a few
-//! ulps, so disable the tolerance (`tol < 0`) when exact sweep-count
-//! parity with another engine matters.
+//! count; the running sum tracks the exact quality to a few ulps (its
+//! fold order differs from the serial engine's), so disable the
+//! tolerance (`tol < 0`) when exact sweep-count parity with another
+//! engine matters.
 //!
 //! Determinism and equivalence (property-tested in `tests/resident.rs`):
 //! coordinates are **bitwise-deterministic for any thread count** and
-//! **bit-identical** both to serial Gauss–Seidel under the part-major
-//! visit order ([`ResidentEngine::part_major_visit_order`]) and to the
-//! PR-2 [`PartitionedEngine`](crate::PartitionedEngine) over the same
-//! decomposition.
+//! **bit-identical** to serial Gauss–Seidel under the part-major visit
+//! order ([`ResidentEngine::part_major_visit_order`]) — the one oracle
+//! every decomposed engine is checked against.
 
 use crate::config::{SmoothParams, UpdateScheme, Weighting};
 use crate::domain::{DomainConfig, SmoothDomain};
@@ -71,10 +63,10 @@ use crate::engine::SmoothEngine;
 use crate::kernel::candidate_for_soa;
 use crate::soa::{note_scratch_grow, resize_tracked, SoaLike, SoaScores, LANES};
 use crate::stats::SmoothReport;
-use crate::transport::{drive_resident, drive_resident_with, InProcessTransport};
+use crate::transport::{drive_resident_ft_with, FtPolicy, InProcessTransport};
 use lms_mesh::{Adjacency, TriMesh};
 use lms_part::{partition_mesh, ExchangeSchedule, MessagePlan, Partition, PartitionMethod};
-use lms_trace::{now_ns, PhaseBreakdown, RankPhaseNanos, Recorder};
+use lms_trace::{now_ns, NullTrace, PhaseBreakdown, RankPhaseNanos, Recorder};
 
 /// Domain-decomposed Gauss–Seidel smoothing over blocks that stay
 /// resident for the whole run, with halo-delta exchange between interface
@@ -86,8 +78,7 @@ pub struct ResidentEngine {
     schedule: ExchangeSchedule,
     /// Interface vertices (mesh-interior) grouped by global color class —
     /// the engine's interior color classes restricted to the interface,
-    /// empty classes dropped. Same construction as the PR-2 engine, so
-    /// both engines share one serial-equivalence order.
+    /// empty classes dropped (see [`interface_classes`]).
     interface_classes: Vec<Vec<u32>>,
     blocks: Vec<ResidentBlock<3>>,
     /// Constant global element weights `w_t` of the quality functional —
@@ -168,9 +159,23 @@ impl<const C: usize> ResidentBlock<C> {
     }
 }
 
+/// Restrict interior color classes to partition-interface vertices
+/// (ascending within a class preserved, empty classes dropped) — the
+/// coordination schedule the 2D and 3D resident engines build from one
+/// definition, so they share one serial-equivalence order.
+pub fn interface_classes(classes: &[Vec<u32>], partition: &Partition) -> Vec<Vec<u32>> {
+    classes
+        .iter()
+        .map(|class| {
+            class.iter().copied().filter(|&v| partition.is_interface(v)).collect::<Vec<u32>>()
+        })
+        .filter(|class| !class.is_empty())
+        .collect()
+}
+
 /// The serial visit order a resident sweep over `blocks` is exactly equal
-/// to — identical to [`crate::partitioned::part_major_order`] over the
-/// same decomposition.
+/// to: each part's interior vertices ascending, parts in order, then the
+/// interface color classes class-major.
 pub fn resident_part_major_order<const C: usize>(
     blocks: &[ResidentBlock<C>],
     interface_classes: &[Vec<u32>],
@@ -211,8 +216,8 @@ impl<P> PairBatch<P> {
 /// process, `lms-dist` runs one `ResidentRank` per forked worker process.
 ///
 /// The sweep arithmetic is identical, expression by expression, to the
-/// serial hot path ([`crate::kernel`]) and the PR-2 block/colored sweeps,
-/// so commit decisions (hence coordinates) stay bit-identical.
+/// serial hot path ([`crate::kernel`]) and the colored sweeps, so commit
+/// decisions (hence coordinates) stay bit-identical.
 pub struct ResidentRank<'a, const C: usize, D: SmoothDomain<C>> {
     dom: &'a D,
     smart: bool,
@@ -665,8 +670,8 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
 
     /// One smart local span sweep — arithmetic identical, expression by
     /// expression, to the serial hot path ([`crate::kernel`]) and to the
-    /// PR-2 block/colored sweeps, so commit decisions (hence coordinates)
-    /// stay bit-identical. Score updates fold `w_t·Δq` into the part's
+    /// colored sweeps, so commit decisions (hence coordinates) stay
+    /// bit-identical. Score updates fold `w_t·Δq` into the part's
     /// stat delta as they land.
     ///
     /// The candidate star is scored **in place**: the candidate is staged
@@ -919,9 +924,8 @@ pub fn build_resident_blocks<const C: usize, D: SmoothDomain<C>>(
 /// steps, one parallel disjoint scatter. Race-free,
 /// bitwise-deterministic for any thread count, and exactly serial
 /// Gauss–Seidel under [`resident_part_major_order`]. (This is
-/// [`crate::transport::drive_resident`] over an
-/// [`InProcessTransport`]; `lms-dist` drives the same loop over forked
-/// rank processes.)
+/// [`drive_resident_ft_with`] over an [`InProcessTransport`]; `lms-dist`
+/// drives the same loop over rank processes.)
 #[allow(clippy::too_many_arguments)]
 pub fn smooth_resident_on<const C: usize, D: SmoothDomain<C>>(
     dom: &D,
@@ -934,7 +938,19 @@ pub fn smooth_resident_on<const C: usize, D: SmoothDomain<C>>(
     pool: &rayon::ThreadPool,
 ) -> SmoothReport {
     let mut transport = InProcessTransport::new(dom, cfg, blocks, schedule, pool);
-    drive_resident(dom, cfg, elem_w, interface_classes.len(), &mut transport, coords)
+    match drive_resident_ft_with(
+        dom,
+        cfg,
+        elem_w,
+        interface_classes.len(),
+        &mut transport,
+        coords,
+        &FtPolicy::default(),
+        &mut NullTrace,
+    ) {
+        Ok((report, _)) => report,
+        Err(e) => match e {},
+    }
 }
 
 /// [`smooth_resident_on`] with tracing and per-rank profiling enabled:
@@ -942,7 +958,9 @@ pub fn smooth_resident_on<const C: usize, D: SmoothDomain<C>>(
 /// the ranks clock their sweeps, and the report comes back with
 /// `phase_breakdown` populated. Everything else — coordinates and every
 /// other report field — is bit-identical to the unprofiled run
-/// (property-tested in `lms-dist/tests/traced.rs`).
+/// (property-tested in `lms-dist/tests/traced.rs`). The in-process
+/// transport's checkpoints are no-ops, so their `checkpoint` spans are
+/// near zero.
 #[allow(clippy::too_many_arguments)]
 pub fn smooth_resident_profiled_on<const C: usize, D: SmoothDomain<C>>(
     dom: &D,
@@ -957,15 +975,19 @@ pub fn smooth_resident_profiled_on<const C: usize, D: SmoothDomain<C>>(
     let mut transport = InProcessTransport::new(dom, cfg, blocks, schedule, pool);
     transport.set_profiling(true);
     let mut recorder = Recorder::new(0);
-    let mut report = drive_resident_with(
+    let mut report = match drive_resident_ft_with(
         dom,
         cfg,
         elem_w,
         interface_classes.len(),
         &mut transport,
         coords,
+        &FtPolicy::default(),
         &mut recorder,
-    );
+    ) {
+        Ok((report, _)) => report,
+        Err(e) => match e {},
+    };
     let mut breakdown = PhaseBreakdown::default();
     breakdown.apply_span_totals(&recorder.span_totals());
     breakdown.transport = transport.take_profile();
@@ -989,8 +1011,7 @@ impl ResidentEngine {
              use smooth_parallel for deterministic Jacobi"
         );
         let engine = SmoothEngine::new(mesh, params);
-        let interface_classes =
-            crate::partitioned::interface_classes(engine.interior_color_classes(), &partition);
+        let interface_classes = interface_classes(engine.interior_color_classes(), &partition);
         let schedule = ExchangeSchedule::build(&partition);
         let (blocks, elem_w) =
             build_resident_blocks(&engine.domain(), &partition, &interface_classes);
@@ -1044,9 +1065,9 @@ impl ResidentEngine {
 
     /// The serial visit order this engine's sweep is exactly equal to:
     /// each part's interior vertices ascending, parts in order, then the
-    /// interface color classes class-major — identical to the PR-2
-    /// [`PartitionedEngine`](crate::PartitionedEngine)'s order over the
-    /// same decomposition.
+    /// interface color classes class-major. Feed it to
+    /// [`SmoothEngine::with_visit_order`] to reproduce the resident
+    /// result bit for bit on the serial engine.
     pub fn part_major_visit_order(&self) -> Vec<u32> {
         resident_part_major_order(&self.blocks, &self.interface_classes)
     }

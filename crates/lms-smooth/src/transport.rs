@@ -1,31 +1,28 @@
-//! The transport abstraction of resident smoothing: one generic drive
-//! loop, pluggable data movement.
+//! The transport abstraction of resident smoothing: one drive loop, one
+//! transport trait, pluggable data movement.
 //!
-//! PR 3's resident engine fused its control flow (iterate, fold part
-//! deltas, test convergence) with its data movement (gather blocks, route
-//! halo deltas between color steps, scatter owned coordinates back). This
-//! module splits them: [`drive_resident`] owns the control flow and the
-//! quality statistic, and everything that moves bytes sits behind
-//! [`ResidentTransport`] — five operations that are exactly the message
-//! kinds of the `lms_part::wire` protocol (gather / interior / color-step
-//! / finish / scatter).
+//! [`drive_resident_ft_with`] owns the control flow (iterate, fold part
+//! deltas, test convergence, checkpoint and recover), and everything that
+//! moves bytes sits behind [`FtResidentTransport`] — five data movements
+//! that are exactly the message kinds of the `lms_part::wire` protocol
+//! (gather / interior / color-step / finish / scatter), plus checkpoint
+//! and recover. Every resident run, in-process or multi-process, goes
+//! through this one loop.
 //!
-//! Three transport families exist:
+//! Two transports implement the trait:
 //!
-//! * [`InProcessTransport`] (here) — the shared-address-space engine the
-//!   PR 1–4 property suites pin: every part is a [`ResidentRank`] in one
-//!   process, phases run on the persistent worker pool, and "routing" is
-//!   a pull over the senders' outboxes. Bit-identical to the PR-3 driver
-//!   by construction.
-//! * `lms_dist::ProcessTransport` — every rank is a forked OS process
-//!   holding its block; the same operations become wire frames over Unix
-//!   pipes, with the coordinator forwarding the coalesced per-pair delta
-//!   batches between ranks.
-//! * `lms_dist::SocketTransport` (PR 8) — the same frames over stream
-//!   *sockets* (Unix-domain or TCP): ranks dial the coordinator under a
-//!   supervised retry/backoff policy and may live outside the
-//!   coordinator's process tree entirely (`lms-tool dist-worker`), which
-//!   is the single-host stand-in for a true multi-node deployment.
+//! * [`InProcessTransport`] (here) — the shared-address-space engine:
+//!   every part is a [`ResidentRank`] in one process, phases run on the
+//!   persistent worker pool, and "routing" is a pull over the senders'
+//!   outboxes. It cannot fail (`Error = Infallible`), so checkpointing
+//!   is a no-op and recovery is statically unreachable.
+//! * `lms_dist::ProcessTransport` — every rank is an OS process holding
+//!   its block; the same operations become wire frames over pipes or
+//!   stream sockets (Unix-domain or TCP), with the coordinator
+//!   forwarding the coalesced per-pair delta batches between ranks.
+//!   Ranks are forked locally or, over sockets, may be standalone
+//!   workers outside the coordinator's process tree
+//!   (`lms-tool dist-worker`).
 //!
 //! Both transports route moved deltas **coalesced per (source part →
 //! destination part) pair** along the [`lms_part::MessagePlan`] — one
@@ -40,7 +37,7 @@
 //! receivers of step `k+1` still pull from the other, so the per-entry
 //! routing copies run inside the parallel phase (receiver-side pulls)
 //! and the serial seam between color steps shrinks to `O(parts)` buffer
-//! swaps — PR 3 routed every entry serially between steps.
+//! swaps.
 
 use crate::config::UpdateScheme;
 use crate::domain::{
@@ -50,199 +47,12 @@ use crate::resident::{Neumaier, PairBatch, ResidentBlock, ResidentRank};
 use crate::stats::{ExchangeVolume, IterationStats, SmoothReport};
 use lms_part::wire::halo_frame_wire_len;
 use lms_part::{ExchangeSchedule, MessagePlan};
-use lms_trace::{NullTrace, TraceSink, TransportProfile};
+use lms_trace::{TraceSink, TransportProfile};
 use rayon::prelude::*;
 
-/// The data-movement backend of a resident smoothing run. Operations are
-/// invoked by [`drive_resident`] in a fixed order: one [`gather`], then
-/// per iteration one [`interior_phase`], `num_colors` [`color_step`]s and
-/// one [`finish_iteration`], then one [`scatter`].
-///
-/// Contract for bit-identity across transports (property-tested by the
-/// `lms-dist` cross-transport oracle): every operation must act exactly
-/// like the corresponding [`ResidentRank`] calls on every part, deltas
-/// must be delivered batched per (source, destination) pair in ascending
-/// source-part order, and [`finish_iteration`] must report the per-part
-/// stat deltas in part order.
-///
-/// [`gather`]: Self::gather
-/// [`interior_phase`]: Self::interior_phase
-/// [`color_step`]: Self::color_step
-/// [`finish_iteration`]: Self::finish_iteration
-/// [`scatter`]: Self::scatter
-pub trait ResidentTransport<P: DomainPoint> {
-    /// The one full gather: load every rank's owned+halo coordinates and
-    /// local element scores from the global arrays.
-    fn gather(&mut self, coords: &[P], scores: &[(f64, bool)]);
-
-    /// Sweep every rank's part-interior vertices (nothing to exchange:
-    /// interior vertices are in no other part's halo).
-    fn interior_phase(&mut self);
-
-    /// One interface color step on every rank: deliver the previous
-    /// round's halo deltas, sweep color `color`, publish this round's
-    /// moved deltas. Adds the round's message/entry/byte traffic to
-    /// `volume`.
-    fn color_step(&mut self, color: usize, volume: &mut ExchangeVolume);
-
-    /// Iteration end: deliver the last round's deltas, run the plain
-    /// re-score where needed, and push every rank's `Σ w_t·Δq_t` stat
-    /// delta into `deltas` **in part order**. A transport that overlaps
-    /// color steps may still be draining the last round's halo traffic
-    /// here — `volume` lets it charge that traffic in the phase where it
-    /// actually lands, so totals agree across transports at every
-    /// iteration boundary.
-    fn finish_iteration(&mut self, deltas: &mut Vec<f64>, volume: &mut ExchangeVolume);
-
-    /// The one full scatter: write every rank's owned coordinates back
-    /// into the global array (parts own disjoint vertex sets).
-    fn scatter(&mut self, coords: &mut [P]);
-}
-
-/// The generic resident drive loop over any [`ResidentTransport`]: one
-/// full gather, per iteration an interior phase plus one color step per
-/// interface color with halo-delta exchange in between, the part-ordered
-/// Neumaier fold of the quality statistic, one full scatter. The
-/// transport moves the bytes; this function owns iteration control,
-/// convergence and the [`ExchangeVolume`] phase counters — which is why
-/// `full_gathers == 1 && full_scatters == 1` holds for every backend.
-pub fn drive_resident<const C: usize, D: SmoothDomain<C>, T: ResidentTransport<D::Point>>(
-    dom: &D,
-    cfg: &DomainConfig,
-    elem_w: &[f64],
-    num_colors: usize,
-    transport: &mut T,
-    coords: &mut [D::Point],
-) -> SmoothReport {
-    drive_resident_with(dom, cfg, elem_w, num_colors, transport, coords, &mut NullTrace)
-}
-
-/// [`drive_resident`] with an explicit [`TraceSink`]. The sink is a
-/// compile-time switch: with [`NullTrace`] every `if S::ENABLED` guard
-/// is dead code and the monomorphisation is exactly the untraced driver
-/// (zero clock reads — guarded by a `lms_trace::clock_reads` test).
-/// Spans emitted: `gather`, then per iteration `interior`, one
-/// `color_step` per color (args: iteration, color) and `finish`, then
-/// `scatter`. Tracing is observation-only: the traced run's coords and
-/// report are bit-identical to the untraced run's.
-pub fn drive_resident_with<
-    const C: usize,
-    D: SmoothDomain<C>,
-    T: ResidentTransport<D::Point>,
-    S: TraceSink,
->(
-    dom: &D,
-    cfg: &DomainConfig,
-    elem_w: &[f64],
-    num_colors: usize,
-    transport: &mut T,
-    coords: &mut [D::Point],
-    sink: &mut S,
-) -> SmoothReport {
-    assert_eq!(coords.len(), dom.num_vertices(), "engine was built for a different mesh");
-    assert_eq!(
-        cfg.update,
-        UpdateScheme::GaussSeidel,
-        "resident smoothing is an in-place (Gauss-Seidel) schedule"
-    );
-
-    // initial scoring pass + quality: the same values a fresh quality
-    // cache would hold, folded in the same order — so the running sum
-    // starts bit-equal to the other engines'; the canonical initial
-    // quality is reduced from the same table (one scoring sweep, not two)
-    let init_scores = initial_scores(dom, cfg, coords);
-    let mut qsum = Neumaier::default();
-    for (t, &(q, _)) in init_scores.iter().enumerate() {
-        qsum.add(q * elem_w[t]);
-    }
-    let initial_quality = domain_quality_scored(dom, &init_scores);
-    let mut report = SmoothReport::starting(initial_quality);
-    let mut volume = ExchangeVolume::default();
-    let mut quality = initial_quality;
-
-    if cfg.max_iters == 0 {
-        report.exchange = Some(volume);
-        return report;
-    }
-
-    // the one full gather: blocks become resident now
-    if S::ENABLED {
-        sink.begin("gather", 0, 0);
-    }
-    transport.gather(coords, &init_scores);
-    if S::ENABLED {
-        sink.end("gather");
-    }
-    volume.full_gathers += 1;
-
-    let mut deltas: Vec<f64> = Vec::new();
-    for iter in 1..=cfg.max_iters {
-        if S::ENABLED {
-            sink.begin("interior", iter as u32, 0);
-        }
-        transport.interior_phase();
-        if S::ENABLED {
-            sink.end("interior");
-        }
-        for c in 0..num_colors {
-            volume.exchange_rounds += 1;
-            if S::ENABLED {
-                sink.begin("color_step", iter as u32, c as u32);
-            }
-            transport.color_step(c, &mut volume);
-            if S::ENABLED {
-                sink.end("color_step");
-            }
-        }
-        deltas.clear();
-        if S::ENABLED {
-            sink.begin("finish", iter as u32, 0);
-        }
-        transport.finish_iteration(&mut deltas, &mut volume);
-        if S::ENABLED {
-            sink.end("finish");
-        }
-
-        // fold part deltas in part order: deterministic for any thread
-        // count (and any transport), same skip-zero rule as the cache's
-        // set_star
-        for &d in &deltas {
-            if d != 0.0 {
-                qsum.add(d);
-            }
-        }
-        let new_quality = qsum.value() / dom.num_vertices() as f64;
-        let improvement = new_quality - quality;
-        report.iterations.push(IterationStats { iter, quality: new_quality, improvement });
-        quality = new_quality;
-        if improvement < cfg.tol {
-            report.converged = true;
-            break;
-        }
-    }
-
-    // the one full scatter
-    if S::ENABLED {
-        sink.begin("scatter", 0, 0);
-    }
-    transport.scatter(coords);
-    if S::ENABLED {
-        sink.end("scatter");
-    }
-    volume.full_scatters += 1;
-
-    let exact = domain_quality(dom, coords);
-    if let Some(last) = report.iterations.last_mut() {
-        last.quality = exact;
-    }
-    report.final_quality = exact;
-    report.exchange = Some(volume);
-    report
-}
-
-/// Recovery policy of [`drive_resident_ft`]: how often the transport is
-/// asked to checkpoint and how many recoveries a run may consume before
-/// giving up with the underlying error.
+/// Recovery policy of [`drive_resident_ft_with`]: how often the
+/// transport is asked to checkpoint and how many recoveries a run may
+/// consume before giving up with the underlying error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FtPolicy {
     /// Checkpoint every `n` iteration boundaries (values below 1 are
@@ -260,7 +70,7 @@ impl Default for FtPolicy {
     }
 }
 
-/// What fault tolerance did during a [`drive_resident_ft`] run.
+/// What fault tolerance did during a [`drive_resident_ft_with`] run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FtStats {
     /// One human-readable entry per recovery, in order: which phase
@@ -271,51 +81,79 @@ pub struct FtStats {
     pub checkpoints: usize,
 }
 
-/// A fallible, recoverable [`ResidentTransport`]: the same five data
+/// The data-movement backend of a resident smoothing run: five data
 /// movements, each allowed to fail with a typed error, plus the two
-/// resilience operations [`drive_resident_ft`] needs — checkpoint and
-/// recover.
+/// resilience operations — checkpoint and recover. Operations are
+/// invoked by [`drive_resident_ft_with`] in a fixed order on the
+/// failure-free path: one [`try_gather`], then per iteration one
+/// [`try_interior_phase`], `num_colors` [`try_color_step`]s and one
+/// [`try_finish_iteration`] (each checkpoint boundary followed by one
+/// [`take_checkpoint`]), then one [`try_scatter`].
 ///
-/// Contract, on top of the [`ResidentTransport`] bit-identity contract:
+/// Contract for bit-identity across transports (property-tested by the
+/// `lms-dist` cross-transport oracle): every operation must act exactly
+/// like the corresponding [`ResidentRank`] calls on every part, deltas
+/// must be delivered batched per (source, destination) pair in ascending
+/// source-part order, and [`try_finish_iteration`] must report the
+/// per-part stat deltas in part order. On top of that:
 ///
-/// * after a successful [`try_gather`](Self::try_gather) the transport
-///   holds a checkpoint equivalent to the gathered state (so a failure
-///   in iteration 1 is recoverable without a separate checkpoint call);
-/// * [`take_checkpoint`](Self::take_checkpoint) is called only at
-///   iteration boundaries and must be atomic — on failure the previous
-///   checkpoint stays valid;
+/// * after a successful [`try_gather`] the transport holds a checkpoint
+///   equivalent to the gathered state (so a failure in iteration 1 is
+///   recoverable without a separate checkpoint call);
+/// * [`take_checkpoint`] is called only at iteration boundaries and must
+///   be atomic — on failure the previous checkpoint stays valid;
 /// * after a successful [`recover`](Self::recover) every rank holds
 ///   exactly the state of the last checkpoint, bit for bit, and the
 ///   transport is ready to re-run the iteration sequence from that
 ///   boundary; recovery traffic must not be charged to any
 ///   [`ExchangeVolume`] (recovered runs report byte counts identical to
 ///   failure-free runs).
+///
+/// [`try_gather`]: Self::try_gather
+/// [`try_interior_phase`]: Self::try_interior_phase
+/// [`try_color_step`]: Self::try_color_step
+/// [`try_finish_iteration`]: Self::try_finish_iteration
+/// [`take_checkpoint`]: Self::take_checkpoint
+/// [`try_scatter`]: Self::try_scatter
 pub trait FtResidentTransport<P: DomainPoint> {
     /// The transport's failure diagnosis (dead rank, stalled rank,
     /// corrupt frame, …).
     type Error: std::fmt::Debug + std::fmt::Display;
 
-    /// Fallible [`ResidentTransport::gather`]; primes the checkpoint.
+    /// The one full gather: load every rank's owned+halo coordinates and
+    /// local element scores from the global arrays. Primes the
+    /// checkpoint.
     fn try_gather(&mut self, coords: &[P], scores: &[(f64, bool)]) -> Result<(), Self::Error>;
 
-    /// Fallible [`ResidentTransport::interior_phase`].
+    /// Sweep every rank's part-interior vertices (nothing to exchange:
+    /// interior vertices are in no other part's halo).
     fn try_interior_phase(&mut self) -> Result<(), Self::Error>;
 
-    /// Fallible [`ResidentTransport::color_step`].
+    /// One interface color step on every rank: deliver the previous
+    /// round's halo deltas, sweep color `color`, publish this round's
+    /// moved deltas. Adds the round's message/entry/byte traffic to
+    /// `volume`.
     fn try_color_step(
         &mut self,
         color: usize,
         volume: &mut ExchangeVolume,
     ) -> Result<(), Self::Error>;
 
-    /// Fallible [`ResidentTransport::finish_iteration`].
+    /// Iteration end: deliver the last round's deltas, run the plain
+    /// re-score where needed, and push every rank's `Σ w_t·Δq_t` stat
+    /// delta into `deltas` **in part order**. A transport that overlaps
+    /// color steps may still be draining the last round's halo traffic
+    /// here — `volume` lets it charge that traffic in the phase where it
+    /// actually lands, so totals agree across transports at every
+    /// iteration boundary.
     fn try_finish_iteration(
         &mut self,
         deltas: &mut Vec<f64>,
         volume: &mut ExchangeVolume,
     ) -> Result<(), Self::Error>;
 
-    /// Fallible [`ResidentTransport::scatter`].
+    /// The one full scatter: write every rank's owned coordinates back
+    /// into the global array (parts own disjoint vertex sets).
     fn try_scatter(&mut self, coords: &mut [P]) -> Result<(), Self::Error>;
 
     /// Atomically capture every rank's iteration-boundary state as the
@@ -343,37 +181,36 @@ pub trait FtResidentTransport<P: DomainPoint> {
     fn recover(&mut self, failure: &Self::Error) -> Result<(), Self::Error>;
 }
 
-/// The fault-tolerant twin of [`drive_resident`]: identical control flow
-/// and arithmetic on the failure-free path (same transport-operation
-/// sequence, same part-ordered Neumaier fold, same convergence rule — a
-/// failure-free run returns a bit-identical [`SmoothReport`]), plus
-/// checkpoint/replay recovery around it.
+/// The resident drive loop over any [`FtResidentTransport`]: one full
+/// gather, per iteration an interior phase plus one color step per
+/// interface color with halo-delta exchange in between, the part-ordered
+/// Neumaier fold of the quality statistic, one full scatter. The
+/// transport moves the bytes; this function owns iteration control,
+/// convergence and the [`ExchangeVolume`] phase counters — which is why
+/// `full_gathers == 1 && full_scatters == 1` holds for every backend.
 ///
-/// At every checkpoint boundary the driver snapshots its own fold state
-/// (running quality sum, iteration list, exchange counters) next to the
-/// transport's rank checkpoint; when a transport operation fails it runs
-/// [`FtResidentTransport::recover`], rolls its fold state back to the
-/// snapshot, and replays the lost iterations. Replayed work is
-/// deterministic from the checkpoint state, so a recovered run's final
-/// coords and report are bit-identical to a failure-free run's.
-pub fn drive_resident_ft<const C: usize, D: SmoothDomain<C>, T: FtResidentTransport<D::Point>>(
-    dom: &D,
-    cfg: &DomainConfig,
-    elem_w: &[f64],
-    num_colors: usize,
-    transport: &mut T,
-    coords: &mut [D::Point],
-    policy: &FtPolicy,
-) -> Result<(SmoothReport, FtStats), T::Error> {
-    drive_resident_ft_with(dom, cfg, elem_w, num_colors, transport, coords, policy, &mut NullTrace)
-}
-
-/// [`drive_resident_ft`] with an explicit [`TraceSink`] (see
-/// [`drive_resident_with`] for the compile-time-switch contract). On top
-/// of the failure-free span taxonomy this driver emits `checkpoint` and
-/// `recover` spans. Spans stay balanced through failures: every fallible
-/// operation's span is closed *after* capturing its `Result` and before
-/// acting on it, so a kill/recovery cycle never leaves a dangling begin.
+/// Fault tolerance: at every checkpoint boundary the driver snapshots
+/// its own fold state (running quality sum, iteration list, exchange
+/// counters) next to the transport's rank checkpoint; when a transport
+/// operation fails it runs [`FtResidentTransport::recover`], rolls its
+/// fold state back to the snapshot, and replays the lost iterations.
+/// Replayed work is deterministic from the checkpoint state, so a
+/// recovered run's final coords and report are bit-identical to a
+/// failure-free run's. The checkpoint cadence only decides how much is
+/// replayed; it never changes the answer.
+///
+/// The [`TraceSink`] is a compile-time switch: with
+/// [`NullTrace`](lms_trace::NullTrace) every `if S::ENABLED` guard is
+/// dead code and the monomorphisation is exactly the untraced driver
+/// (zero clock reads — guarded by a `lms_trace::clock_reads` test).
+/// Spans emitted: `gather`, then per iteration `interior`, one
+/// `color_step` per color (args: iteration, color), `finish` and — at a
+/// checkpoint boundary — `checkpoint`, then `scatter`; `recover` around
+/// each recovery. Tracing is observation-only: the traced run's coords
+/// and report are bit-identical to the untraced run's. Spans stay
+/// balanced through failures: every fallible operation's span is closed
+/// *after* capturing its `Result` and before acting on it, so a
+/// kill/recovery cycle never leaves a dangling begin.
 #[allow(clippy::too_many_arguments)]
 pub fn drive_resident_ft_with<
     const C: usize,
@@ -631,7 +468,7 @@ pub fn drive_resident_ft_with<
     Ok((report, stats))
 }
 
-/// The drivers' initial full scoring pass: every element scored on the
+/// The driver's initial full scoring pass: every element scored on the
 /// global coordinates, in element order. Runs the lane-batched SoA
 /// kernel unless the scalar baseline is forced — both produce identical
 /// bits per element, so either way the table matches a fresh quality
@@ -660,8 +497,8 @@ unsafe impl<P> Send for ScatterPtr<P> {}
 /// The shared-address-space transport: every part is a [`ResidentRank`]
 /// in this process, phases run on the persistent worker pool, and delta
 /// routing is a receiver-side pull over double-buffered sender outboxes
-/// (see the module docs). This is the PR-3 resident engine's behaviour,
-/// bit for bit — the unmodified PR 1–4 property suites pin it.
+/// (see the module docs). Property-tested bit-identical to serial
+/// part-major Gauss–Seidel in `tests/resident.rs`.
 pub struct InProcessTransport<'a, const C: usize, D: SmoothDomain<C>> {
     ranks: Vec<ResidentRank<'a, C, D>>,
     /// The published buffer set: `prev_out[p]` holds part `p`'s outbox
@@ -693,24 +530,42 @@ impl<'a, const C: usize, D: SmoothDomain<C>> InProcessTransport<'a, C, D> {
     }
 }
 
-impl<const C: usize, D: SmoothDomain<C>> ResidentTransport<D::Point>
+/// The in-process transport cannot fail: ranks share the coordinator's
+/// address space, so there is no process to die, no pipe to stall and no
+/// wire to corrupt. Checkpointing is a no-op (state is never lost) and
+/// `recover` is statically unreachable, which is also what makes this
+/// transport the graceful-degradation fallback when rank processes
+/// cannot be spawned at all.
+impl<const C: usize, D: SmoothDomain<C>> FtResidentTransport<D::Point>
     for InProcessTransport<'_, C, D>
 {
-    fn gather(&mut self, coords: &[D::Point], scores: &[(f64, bool)]) {
+    type Error = std::convert::Infallible;
+
+    fn try_gather(
+        &mut self,
+        coords: &[D::Point],
+        scores: &[(f64, bool)],
+    ) -> Result<(), Self::Error> {
         let ranks = &mut self.ranks;
         self.pool.install(|| {
             ranks.par_iter_mut().for_each(|rank| rank.load_global(coords, scores));
         });
+        Ok(())
     }
 
-    fn interior_phase(&mut self) {
+    fn try_interior_phase(&mut self) -> Result<(), Self::Error> {
         let ranks = &mut self.ranks;
         self.pool.install(|| {
             ranks.par_iter_mut().for_each(|rank| rank.sweep_interior());
         });
+        Ok(())
     }
 
-    fn color_step(&mut self, color: usize, volume: &mut ExchangeVolume) {
+    fn try_color_step(
+        &mut self,
+        color: usize,
+        volume: &mut ExchangeVolume,
+    ) -> Result<(), Self::Error> {
         let ranks = &mut self.ranks;
         let published: &[Vec<PairBatch<D::Point>>] = &self.prev_out;
         // pull, apply, sweep and publish fully in parallel: the routing
@@ -737,11 +592,16 @@ impl<const C: usize, D: SmoothDomain<C>> ResidentTransport<D::Point>
             }
             rank.swap_outbox(&mut self.prev_out[p]);
         }
+        Ok(())
     }
 
     // the in-process transport charges every round's traffic at publish
-    // time inside `color_step`, so nothing is left to charge here
-    fn finish_iteration(&mut self, deltas: &mut Vec<f64>, _volume: &mut ExchangeVolume) {
+    // time inside `try_color_step`, so nothing is left to charge here
+    fn try_finish_iteration(
+        &mut self,
+        deltas: &mut Vec<f64>,
+        _volume: &mut ExchangeVolume,
+    ) -> Result<(), Self::Error> {
         let ranks = &mut self.ranks;
         let published: &[Vec<PairBatch<D::Point>>] = &self.prev_out;
         self.pool.install(|| {
@@ -758,59 +618,24 @@ impl<const C: usize, D: SmoothDomain<C>> ResidentTransport<D::Point>
                 batch.clear();
             }
         }
-    }
-
-    fn scatter(&mut self, coords: &mut [D::Point]) {
-        self.scatter_impl(coords);
-    }
-}
-
-/// The in-process transport cannot fail: ranks share the coordinator's
-/// address space, so there is no process to die, no pipe to stall and no
-/// wire to corrupt. Checkpointing is a no-op (state is never lost) and
-/// `recover` is statically unreachable — [`drive_resident_ft`] over this
-/// transport compiles down to exactly [`drive_resident`]'s behaviour,
-/// which is what makes it the graceful-degradation fallback when rank
-/// processes cannot be spawned at all.
-impl<const C: usize, D: SmoothDomain<C>> FtResidentTransport<D::Point>
-    for InProcessTransport<'_, C, D>
-{
-    type Error = std::convert::Infallible;
-
-    fn try_gather(
-        &mut self,
-        coords: &[D::Point],
-        scores: &[(f64, bool)],
-    ) -> Result<(), Self::Error> {
-        self.gather(coords, scores);
-        Ok(())
-    }
-
-    fn try_interior_phase(&mut self) -> Result<(), Self::Error> {
-        self.interior_phase();
-        Ok(())
-    }
-
-    fn try_color_step(
-        &mut self,
-        color: usize,
-        volume: &mut ExchangeVolume,
-    ) -> Result<(), Self::Error> {
-        self.color_step(color, volume);
-        Ok(())
-    }
-
-    fn try_finish_iteration(
-        &mut self,
-        deltas: &mut Vec<f64>,
-        volume: &mut ExchangeVolume,
-    ) -> Result<(), Self::Error> {
-        self.finish_iteration(deltas, volume);
         Ok(())
     }
 
     fn try_scatter(&mut self, coords: &mut [D::Point]) -> Result<(), Self::Error> {
-        self.scatter_impl(coords);
+        let scatter = ScatterPtr(coords.as_mut_ptr());
+        let scatter = &scatter;
+        let ranks: &[ResidentRank<'_, C, D>] = &self.ranks;
+        let blocks = self.blocks;
+        self.pool.install(|| {
+            (0..ranks.len()).into_par_iter().for_each(|i| {
+                for (j, &v) in blocks[i].owned().iter().enumerate() {
+                    // SAFETY: `v` is owned by part `i` alone; parts
+                    // partition the vertex set, so no two workers
+                    // write the same slot.
+                    unsafe { *scatter.0.add(v as usize) = ranks[i].owned_coord(j) };
+                }
+            });
+        });
         Ok(())
     }
 
@@ -852,22 +677,5 @@ impl<const C: usize, D: SmoothDomain<C>> InProcessTransport<'_, C, D> {
             }
         }
         profile
-    }
-
-    fn scatter_impl(&mut self, coords: &mut [D::Point]) {
-        let scatter = ScatterPtr(coords.as_mut_ptr());
-        let scatter = &scatter;
-        let ranks: &[ResidentRank<'_, C, D>] = &self.ranks;
-        let blocks = self.blocks;
-        self.pool.install(|| {
-            (0..ranks.len()).into_par_iter().for_each(|i| {
-                for (j, &v) in blocks[i].owned().iter().enumerate() {
-                    // SAFETY: `v` is owned by part `i` alone; parts
-                    // partition the vertex set, so no two workers
-                    // write the same slot.
-                    unsafe { *scatter.0.add(v as usize) = ranks[i].owned_coord(j) };
-                }
-            });
-        });
     }
 }

@@ -1,10 +1,12 @@
 //! Property tests for the incremental-quality hot path: bitwise
 //! equivalence with the full-recompute reference engine, and
-//! `QualityCache` coherence across randomized smoothing runs.
+//! `DomainQualityCache` coherence across randomized smoothing runs.
 
 use lms_mesh::quality::mesh_quality;
-use lms_mesh::{Adjacency, QualityCache, TriMesh};
-use lms_smooth::{SmoothEngine, SmoothParams, UpdateScheme};
+use lms_mesh::{Adjacency, Boundary, TriMesh};
+use lms_smooth::{
+    DomainQualityCache, SmoothDomain, SmoothEngine, SmoothParams, TriDomain, UpdateScheme,
+};
 use proptest::prelude::*;
 
 fn arb_mesh() -> impl Strategy<Value = TriMesh> {
@@ -57,8 +59,8 @@ proptest! {
         );
     }
 
-    /// QualityCache stays bit-identical to a from-scratch recompute across
-    /// a randomized sequence of vertex moves with mixed immediate /
+    /// DomainQualityCache stays bit-identical to a from-scratch recompute
+    /// across a randomized sequence of vertex moves with mixed immediate /
     /// dirty-flush updates.
     #[test]
     fn quality_cache_coherent_under_random_moves(
@@ -67,9 +69,11 @@ proptest! {
     ) {
         let mut mesh = mesh;
         let adj = Adjacency::build(&mesh);
+        let boundary = Boundary::detect(&mesh);
         let metric = lms_mesh::quality::QualityMetric::EdgeLengthRatio;
-        let mut cache = QualityCache::build(&mesh, &adj, metric);
         let triangles: Vec<[u32; 3]> = mesh.triangles().to_vec();
+        let dom = TriDomain::new(&adj, &boundary, &triangles, metric);
+        let mut cache = DomainQualityCache::build(&dom, mesh.coords());
         let n = mesh.num_vertices();
 
         for (pick, dx, dy, immediate) in moves {
@@ -79,20 +83,22 @@ proptest! {
                 lms_mesh::Point2::new(p.x + dx as f64 / 97.0, p.y + dy as f64 / 89.0);
             if immediate {
                 for &t in adj.triangles_of(v) {
-                    let (q, pos) = QualityCache::score(metric, mesh.coords(), triangles[t as usize]);
-                    cache.set_tri(t, q, pos);
+                    let score = dom.score(mesh.coords(), triangles[t as usize]);
+                    cache.set_star(&[t], &[score]);
                 }
             } else {
-                cache.mark_incident_dirty(v, &adj);
+                for &t in adj.triangles_of(v) {
+                    cache.mark_dirty(t);
+                }
             }
         }
         if cache.has_dirty() {
-            cache.flush_dirty(mesh.coords(), &triangles);
+            cache.flush_dirty(&dom, mesh.coords());
         }
 
         let fresh = mesh_quality(&mesh, &adj, metric);
         prop_assert_eq!(
-            cache.quality_exact(&adj).to_bits(), fresh.to_bits(),
+            cache.quality_exact(&dom).to_bits(), fresh.to_bits(),
             "exact cache quality diverged from scratch recompute"
         );
         prop_assert!(
@@ -102,9 +108,9 @@ proptest! {
 
         // per-triangle values are exactly the fresh scores
         for (t, tri) in triangles.iter().enumerate() {
-            let (q, pos) = QualityCache::score(metric, mesh.coords(), *tri);
-            prop_assert_eq!(cache.tri_quality(t as u32).to_bits(), q.to_bits());
-            prop_assert_eq!(cache.tri_is_positive(t as u32), pos);
+            let (q, pos) = dom.score(mesh.coords(), *tri);
+            prop_assert_eq!(cache.elem_quality(t as u32).to_bits(), q.to_bits());
+            prop_assert_eq!(cache.elem_is_positive(t as u32), pos);
         }
     }
 

@@ -9,16 +9,13 @@
 //! * full resident runs with the default lane-batched kernel are
 //!   bit-identical — coordinates AND reports — to the forced pre-SoA
 //!   scalar path (`with_scalar_scoring(true)`) across threads {1, 2, 4}
-//!   × parts {2, 4, 8} × smart/plain, and so are partitioned and serial
-//!   engine runs.
+//!   × parts {2, 4, 8} × smart/plain, and so are serial engine runs.
 
 use lms_mesh::quality::QualityMetric;
 use lms_mesh::{generators, Adjacency, Boundary, TriMesh};
 use lms_part::PartitionMethod;
 use lms_smooth::domain::{SmoothDomain, TriDomain};
-use lms_smooth::{
-    PartitionedEngine, ResidentEngine, SmoothEngine, SmoothParams, SoaCoords, SoaLike,
-};
+use lms_smooth::{ResidentEngine, SmoothEngine, SmoothParams, SoaCoords, SoaLike};
 use proptest::prelude::*;
 
 const METRICS: [QualityMetric; 3] =
@@ -116,10 +113,10 @@ proptest! {
         prop_assert_eq!(ra, rb);
     }
 
-    /// Partitioned and serial engines under the same toggle: the batched
-    /// kernel must not change a single bit anywhere in the engine ladder.
+    /// The serial engine under the same toggle: the batched kernel must
+    /// not change a single bit anywhere in the engine ladder.
     #[test]
-    fn partitioned_and_serial_batched_equal_scalar(
+    fn serial_batched_equals_scalar(
         nx in 6usize..11, ny in 6usize..11, seed in 0u64..1000, smart in any::<bool>(),
     ) {
         let mesh = generators::perturbed_grid(nx, ny, 0.35, seed);
@@ -128,19 +125,8 @@ proptest! {
         let mut a = mesh.clone();
         let ra = SmoothEngine::new(&mesh, params.clone()).smooth(&mut a);
         let mut b = mesh.clone();
-        let rb = SmoothEngine::new(&mesh, params.clone().with_scalar_scoring(true)).smooth(&mut b);
+        let rb = SmoothEngine::new(&mesh, params.with_scalar_scoring(true)).smooth(&mut b);
         prop_assert_eq!(a.coords(), b.coords());
         prop_assert_eq!(ra, rb);
-
-        let mut c = mesh.clone();
-        let rc = PartitionedEngine::by_method(&mesh, params.clone(), 4, PartitionMethod::Rcb)
-            .smooth(&mut c, 2);
-        let mut d = mesh.clone();
-        let rd = PartitionedEngine::by_method(
-            &mesh, params.with_scalar_scoring(true), 4, PartitionMethod::Rcb,
-        )
-        .smooth(&mut d, 2);
-        prop_assert_eq!(c.coords(), d.coords());
-        prop_assert_eq!(rc, rd);
     }
 }

@@ -23,10 +23,10 @@
 //!   through a condvar'd job slot instead of spawning a fresh
 //!   `std::thread::scope` — a colored sweep with `1 + num_colors` parallel
 //!   phases per iteration pays `num_threads − 1` thread spawns per pool
-//!   *lifetime*, not per phase. [`spawned_thread_count`] exposes the
-//!   shim-wide spawn counter the regression tests pin this with. Adapter
-//!   calls made outside any `install` fall back to scoped one-shot workers
-//!   (the pre-pool behaviour).
+//!   *lifetime*, not per phase. [`ThreadPool::spawned_threads`] exposes
+//!   each pool's own spawn counter the regression tests pin this with.
+//!   Adapter calls made outside any `install` fall back to scoped one-shot
+//!   workers (the pre-pool behaviour).
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -38,16 +38,6 @@ thread_local! {
     /// Stack of installed pools (innermost last); par-adapters dispatch to
     /// the top entry.
     static POOL_STACK: RefCell<Vec<Arc<PoolShared>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Every OS thread this shim has ever spawned (pool workers and fallback
-/// scoped workers alike). Pool reuse is regression-tested by pinning the
-/// delta of this counter across repeated `install`/par-adapter calls.
-static SPAWNED_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Total OS threads spawned by this shim since process start.
-pub fn spawned_thread_count() -> usize {
-    SPAWNED_THREADS.load(Ordering::Relaxed)
 }
 
 fn default_threads() -> usize {
@@ -267,7 +257,6 @@ impl ThreadPool {
         });
         let handles = (0..workers)
             .map(|_| {
-                SPAWNED_THREADS.fetch_add(1, Ordering::Relaxed);
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(shared))
             })
@@ -301,6 +290,13 @@ impl ThreadPool {
 
     pub fn current_num_threads(&self) -> usize {
         self.num_threads
+    }
+
+    /// OS threads this pool has spawned. Workers are spawned once, at
+    /// construction, so the count never grows over the pool's lifetime —
+    /// a per-pool counter, unaffected by other pools in the process.
+    pub fn spawned_threads(&self) -> usize {
+        self.handles.len()
     }
 }
 
@@ -365,7 +361,6 @@ fn run_groups<O: Send>(len: usize, work: &(impl Fn(usize, usize, usize) -> O + S
             None => {
                 std::thread::scope(|scope| {
                     for _ in 0..threads {
-                        SPAWNED_THREADS.fetch_add(1, Ordering::Relaxed);
                         scope.spawn(task);
                     }
                 });
@@ -635,14 +630,12 @@ mod tests {
 
     #[test]
     fn range_map_collect_preserves_order() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let v: Vec<u64> = (0u64..1000).into_par_iter().map(|i| i * 2).collect();
         assert_eq!(v, (0..1000).map(|i| i * 2).collect::<Vec<u64>>());
     }
 
     #[test]
     fn sum_is_thread_count_independent() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let items: Vec<f64> = (0..10_000).map(|i| (i as f64).sin()).collect();
         let sum_with = |threads| {
             let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
@@ -657,7 +650,6 @@ mod tests {
 
     #[test]
     fn par_chunks_mut_writes_every_chunk() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         let mut data = vec![0usize; 103];
         pool.install(|| {
@@ -672,7 +664,6 @@ mod tests {
 
     #[test]
     fn par_iter_mut_visits_every_item_once() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         let mut data = vec![0u32; 157];
         pool.install(|| {
@@ -685,7 +676,6 @@ mod tests {
 
     #[test]
     fn par_iter_on_vec_collects_in_order() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let input: Vec<(u32, u32)> = (0..97).map(|i| (i, i + 1)).collect();
         let out: Vec<u32> = input.par_iter().map(|&(a, b)| a + b).collect();
         assert_eq!(out, (0..97).map(|i| 2 * i + 1).collect::<Vec<u32>>());
@@ -693,7 +683,6 @@ mod tests {
 
     #[test]
     fn install_nests_and_restores() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let outer = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         let inner = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
         outer.install(|| {
@@ -705,7 +694,6 @@ mod tests {
 
     #[test]
     fn par_chunks_shared_enumerates_all() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         use std::sync::atomic::{AtomicUsize, Ordering};
         let data: Vec<u32> = (0..55).collect();
         let seen = AtomicUsize::new(0);
@@ -716,19 +704,10 @@ mod tests {
         assert_eq!(seen.load(Ordering::Relaxed), 55);
     }
 
-    /// Serialises every test in this module: the spawn counter is global
-    /// and adapter calls outside `install` spawn fallback workers on
-    /// multi-core hosts, so any concurrently-running test would skew the
-    /// exact-delta assertions of the counter tests.
-    static COUNTER_TESTS: Mutex<()> = Mutex::new(());
-
     #[test]
     fn pool_spawns_threads_once_per_lifetime() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
-        let before = spawned_thread_count();
         let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let after_build = spawned_thread_count();
-        assert_eq!(after_build - before, 3, "a 4-thread pool spawns exactly 3 workers");
+        assert_eq!(pool.spawned_threads(), 3, "a 4-thread pool spawns exactly 3 workers");
         // dozens of installs and parallel phases: not one more OS thread
         for round in 0..25 {
             let sum: u64 =
@@ -740,15 +719,14 @@ mod tests {
             });
         }
         assert_eq!(
-            spawned_thread_count(),
-            after_build,
+            pool.spawned_threads(),
+            3,
             "par-adapter calls inside install must reuse the parked workers"
         );
     }
 
     #[test]
     fn pool_results_match_serial_across_many_jobs() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let pool = ThreadPoolBuilder::new().num_threads(5).build().unwrap();
         for n in [0usize, 1, 7, 64, 65, 1000] {
             let par: Vec<usize> = pool.install(|| (0..n).into_par_iter().map(|i| i * i).collect());
@@ -758,7 +736,6 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_and_pool_survives() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.install(|| {
@@ -775,7 +752,6 @@ mod tests {
 
     #[test]
     fn install_unwinds_cleanly_on_panic() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
         let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.install(|| panic!("deliberate install panic"));
@@ -790,11 +766,9 @@ mod tests {
 
     #[test]
     fn single_thread_pool_runs_inline_without_workers() {
-        let _serial = COUNTER_TESTS.lock().unwrap();
-        let before = spawned_thread_count();
         let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
         let v: Vec<u32> = pool.install(|| (0u32..100).into_par_iter().map(|i| i).collect());
         assert_eq!(v.len(), 100);
-        assert_eq!(spawned_thread_count(), before, "1-thread pool never spawns");
+        assert_eq!(pool.spawned_threads(), 0, "1-thread pool never spawns");
     }
 }
