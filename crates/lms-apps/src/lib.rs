@@ -10,7 +10,7 @@
 //!   primitive;
 //! * [`swap`] — edge swapping to the Delaunay or a quality criterion
 //!   (Freitag & Ollivier \[5\]);
-//! * [`untangle`] — local min-area-maximising untangling
+//! * [`untangle`](mod@untangle) — local min-area-maximising untangling
 //!   (Freitag & Plassmann \[6\]);
 //! * [`constrained`] — constrained smoothing with boundary vertices
 //!   sliding along the boundary (Parthasarathy & Kodiyalam \[13\]);

@@ -130,7 +130,10 @@ fn parse(args: &[String]) -> Result<Opts, String> {
                 o.rank = Some(val("--rank")?.parse().map_err(|e| format!("bad --rank: {e}"))?)
             }
             "--parts" => {
-                o.parts = val("--parts")?.parse().map_err(|e| format!("bad --parts: {e}"))?
+                o.parts = val("--parts")?.parse().map_err(|e| format!("bad --parts: {e}"))?;
+                if o.parts == 0 {
+                    return Err("bad --parts: need at least one part".to_string());
+                }
             }
             "--method" => {
                 let name = val("--method")?;
@@ -406,7 +409,7 @@ fn cmd_dist_worker(o: &Opts) -> Result<String, String> {
         .with_max_iters(o.iters)
         .with_tol(o.tol);
     let engine = lms_smooth::ResidentEngine::by_method(&mesh, params, o.parts, o.method);
-    lms_dist::serve_standalone_tri(&engine, rank, &spec, &lms_dist::Supervisor::default())
+    lms_dist::serve_standalone(&engine, rank, &spec, &lms_dist::Supervisor::default())
         .map_err(|e| format!("rank {rank} serving {spec}: {e}"))?;
     Ok(format!("rank {rank}/{} served {spec} to clean shutdown", o.parts))
 }

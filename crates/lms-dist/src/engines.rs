@@ -1,10 +1,11 @@
-//! The distributed resident engines: drop-in twins of
-//! [`lms_smooth::ResidentEngine`] / [`lms_mesh3d::ResidentEngine3`] that
-//! run every part as a forked rank process instead of a pool worker.
+//! The distributed resident engine: a drop-in twin of
+//! [`lms_smooth::Resident`] that runs every part as a forked rank process
+//! instead of a pool worker, in 2D ([`DistResidentEngine`]) and 3D
+//! ([`DistResidentEngine3`]) alike.
 //!
-//! Construction is *shared with* the in-process engines — a
-//! [`DistResidentEngine`] wraps a [`ResidentEngine`] and reuses its
-//! blocks, schedule, color classes and stat weights verbatim — so the
+//! Construction is *shared with* the in-process engine — a
+//! [`DistResident`] wraps a [`Resident`] and reuses its blocks,
+//! schedule, color classes and stat weights verbatim — so the
 //! only difference between `engine.inner().smooth(mesh, t)` and
 //! `engine.smooth(mesh)` is the transport. That is exactly what the
 //! cross-transport oracle (`tests/oracle.rs`) pins: bit-identical
@@ -25,20 +26,22 @@
 //! block is gathered once, resident in its rank for the whole run, and
 //! scattered once).
 //!
-//! [`smooth`]: DistResidentEngine::smooth
-//! [`smooth_ft`]: DistResidentEngine::smooth_ft
+//! [`smooth`]: DistResident::smooth
+//! [`smooth_ft`]: DistResident::smooth_ft
 
 use crate::error::DistError;
 use crate::fault::FaultPlan;
 use crate::socket::{Listener, SocketSpec, Supervisor};
 use crate::transport::ProcessTransport;
 use lms_mesh::TriMesh;
-use lms_mesh3d::{ResidentEngine3, SmoothParams3, TetMesh};
+use lms_mesh3d::{SmoothEngine3, SmoothParams3, TetMesh};
 use lms_part::{ExchangeSchedule, Partition, PartitionMethod};
 use lms_smooth::domain::{DomainConfig, SmoothDomain};
 use lms_smooth::resident::ResidentBlock;
 use lms_smooth::transport::drive_resident_ft_with;
-use lms_smooth::{FtPolicy, FtStats, ResidentEngine, SmoothParams, SmoothReport};
+use lms_smooth::{
+    DomainEngine, FtPolicy, FtStats, Resident, SmoothEngine, SmoothParams, SmoothReport,
+};
 use lms_trace::{NullTrace, PhaseBreakdown, Recorder, TraceSink, TransportProfile};
 use std::io;
 
@@ -63,8 +66,8 @@ pub enum TransportMode {
     /// [`DistError::Spawn`] and [`smooth`] computes in-process — the
     /// ladder's floor, always available.
     ///
-    /// [`smooth_ft`]: DistResidentEngine::smooth_ft
-    /// [`smooth`]: DistResidentEngine::smooth
+    /// [`smooth_ft`]: DistResident::smooth_ft
+    /// [`smooth`]: DistResident::smooth
     InProcess,
 }
 
@@ -211,36 +214,44 @@ fn spawn_laddered<'a, const C: usize, D: SmoothDomain<C>>(
     unreachable!("ladder() never returns an empty rung list")
 }
 
-/// Multi-process resident smoothing of triangle meshes: one rank process
-/// per part, wire frames over pipes, coordinates and reports
-/// bit-identical to [`ResidentEngine`] (hence to serial part-major
-/// Gauss–Seidel) — including runs that detect and recover rank failures.
+/// Multi-process resident smoothing over any [`DomainEngine`]: one rank
+/// process per part, wire frames over pipes or sockets, coordinates and
+/// reports bit-identical to the wrapped in-process [`Resident`] engine
+/// (hence to serial part-major Gauss–Seidel) — including runs that detect
+/// and recover rank failures. One wire serialisation covers both
+/// dimensions: only the handshake's coordinate dimension differs.
 #[derive(Debug, Clone)]
-pub struct DistResidentEngine {
-    inner: ResidentEngine,
+pub struct DistResident<const C: usize, E> {
+    inner: Resident<C, E>,
 }
 
-impl DistResidentEngine {
+/// The distributed resident engine of triangle meshes.
+pub type DistResidentEngine = DistResident<3, SmoothEngine>;
+
+/// The distributed resident engine of tetrahedral meshes.
+pub type DistResidentEngine3 = DistResident<4, SmoothEngine3>;
+
+impl<const C: usize, E: DomainEngine<C>> DistResident<C, E> {
     /// Build the engine for `mesh` under `params` and an existing
     /// decomposition (Gauss–Seidel parameters only).
-    pub fn new(mesh: &TriMesh, params: SmoothParams, partition: Partition) -> Self {
-        DistResidentEngine { inner: ResidentEngine::new(mesh, params, partition) }
+    pub fn new(mesh: &E::Mesh, params: E::Params, partition: Partition) -> Self {
+        DistResident { inner: Resident::new(mesh, params, partition) }
     }
 
     /// Convenience: decompose `mesh` into `num_parts` with `method`, then
     /// build the engine.
     pub fn by_method(
-        mesh: &TriMesh,
-        params: SmoothParams,
+        mesh: &E::Mesh,
+        params: E::Params,
         num_parts: usize,
         method: PartitionMethod,
     ) -> Self {
-        DistResidentEngine { inner: ResidentEngine::by_method(mesh, params, num_parts, method) }
+        DistResident { inner: Resident::by_method(mesh, params, num_parts, method) }
     }
 
     /// The wrapped in-process engine (shared blocks, schedule, classes) —
     /// the bit-identity oracle to compare runs against.
-    pub fn inner(&self) -> &ResidentEngine {
+    pub fn inner(&self) -> &Resident<C, E> {
         &self.inner
     }
 
@@ -249,17 +260,28 @@ impl DistResidentEngine {
         self.inner.blocks().len()
     }
 
+    /// The mesh's coordinates, checked against the engine's vertex count.
+    fn coords_of<'m>(&self, mesh: &'m mut E::Mesh) -> &'m mut [E::Point] {
+        let coords = E::coords_mut(mesh);
+        assert_eq!(
+            coords.len(),
+            self.inner.partition().len(),
+            "engine was built for a different mesh"
+        );
+        coords
+    }
+
     /// Fault-tolerant distributed run with explicit options: fork one
     /// rank per part, drive the checkpoint/recovery loop over the process
     /// transport, reap the ranks. On success the result is bit-identical
-    /// to [`ResidentEngine::smooth`] — whether or not ranks failed along
-    /// the way — and [`FtStats`] says what fault tolerance did. Errors
-    /// are typed: [`DistError::Spawn`] means no rank group could be
-    /// created (degrade to the in-process engine); anything else means
-    /// the recovery budget ran out.
+    /// to the in-process [`Resident::smooth`] — whether or not ranks
+    /// failed along the way — and [`FtStats`] says what fault tolerance
+    /// did. Errors are typed: [`DistError::Spawn`] means no rank group
+    /// could be created (degrade to the in-process engine); anything else
+    /// means the recovery budget ran out.
     pub fn smooth_ft(
         &self,
-        mesh: &mut TriMesh,
+        mesh: &mut E::Mesh,
         options: &FtOptions,
     ) -> Result<(SmoothReport, FtStats), DistError> {
         let (report, stats, _) = self.smooth_ft_with(mesh, options, &mut NullTrace)?;
@@ -273,32 +295,43 @@ impl DistResidentEngine {
     /// exposed so callers can plug custom sinks.
     pub fn smooth_ft_with<S: TraceSink>(
         &self,
-        mesh: &mut TriMesh,
+        mesh: &mut E::Mesh,
         options: &FtOptions,
         sink: &mut S,
     ) -> Result<(SmoothReport, FtStats, TransportProfile), DistError> {
-        assert_eq!(
-            mesh.num_vertices(),
-            self.inner.partition().len(),
-            "engine was built for a different mesh"
-        );
+        let coords = self.coords_of(mesh);
         let dom = self.inner.engine().domain();
-        let cfg = DomainConfig::from(self.inner.engine().params());
-        let mut transport = spawn_laddered(
+        let cfg = self.inner.engine().domain_config();
+        let transport = spawn_laddered(
             &dom,
             &cfg,
             self.inner.blocks(),
             self.inner.exchange_schedule(),
             options,
         )?;
+        self.drive(&dom, &cfg, transport, coords, &options.policy, sink)
+    }
+
+    /// Drive the fault-tolerant loop over an established `transport`, then
+    /// shut the rank group down. A failed run still tears the ranks down,
+    /// but reports the run's error, not the teardown's.
+    fn drive<S: TraceSink>(
+        &self,
+        dom: &E::Domain<'_>,
+        cfg: &DomainConfig,
+        mut transport: ProcessTransport<'_, C, E::Domain<'_>>,
+        coords: &mut [E::Point],
+        policy: &FtPolicy,
+        sink: &mut S,
+    ) -> Result<(SmoothReport, FtStats, TransportProfile), DistError> {
         let result = drive_resident_ft_with(
-            &dom,
-            &cfg,
+            dom,
+            cfg,
             self.inner.elem_weights(),
             self.inner.interface_classes().len(),
             &mut transport,
-            mesh.coords_mut(),
-            &options.policy,
+            coords,
+            policy,
             sink,
         );
         match result {
@@ -319,11 +352,12 @@ impl DistResidentEngine {
     /// every driver span into a [`Recorder`] and attaches the composed
     /// [`PhaseBreakdown`] (driver spans + rank sweep phases + routing
     /// matrix) to the report. The coordinates and every other report
-    /// field stay bit-identical to an unprofiled [`smooth_ft`] run; the
-    /// recorder is returned for chrome-trace export.
+    /// field stay bit-identical to an unprofiled
+    /// [`smooth_ft`](Self::smooth_ft) run; the recorder is returned for
+    /// chrome-trace export.
     pub fn smooth_profiled(
         &self,
-        mesh: &mut TriMesh,
+        mesh: &mut E::Mesh,
         options: &FtOptions,
     ) -> Result<(SmoothReport, FtStats, Recorder), DistError> {
         let mut opts = options.clone();
@@ -344,13 +378,13 @@ impl DistResidentEngine {
     /// resident engine — same answer, shared address space. Any other
     /// failure (recovery budget exhausted, abnormal teardown) panics with
     /// the typed diagnosis.
-    pub fn smooth(&self, mesh: &mut TriMesh) -> SmoothReport {
+    pub fn smooth(&self, mesh: &mut E::Mesh) -> SmoothReport {
         self.smooth_with(mesh, &FtOptions::default())
     }
 
     /// [`smooth`](Self::smooth) with explicit options (used by the chaos
     /// suite to script faults through the degradation path).
-    pub fn smooth_with(&self, mesh: &mut TriMesh, options: &FtOptions) -> SmoothReport {
+    pub fn smooth_with(&self, mesh: &mut E::Mesh, options: &FtOptions) -> SmoothReport {
         match self.smooth_ft(mesh, options) {
             Ok((report, _)) => report,
             Err(e @ (DistError::Spawn(_) | DistError::ConnRefused { .. })) => {
@@ -373,18 +407,14 @@ impl DistResidentEngine {
     /// only run state crosses the wire.
     pub fn smooth_ft_external(
         &self,
-        mesh: &mut TriMesh,
+        mesh: &mut E::Mesh,
         listener: Listener,
         options: &FtOptions,
     ) -> Result<(SmoothReport, FtStats), DistError> {
-        assert_eq!(
-            mesh.num_vertices(),
-            self.inner.partition().len(),
-            "engine was built for a different mesh"
-        );
+        let coords = self.coords_of(mesh);
         let dom = self.inner.engine().domain();
-        let cfg = DomainConfig::from(self.inner.engine().params());
-        let mut transport = ProcessTransport::listen(
+        let cfg = self.inner.engine().domain_config();
+        let transport = ProcessTransport::listen(
             listener,
             &dom,
             &cfg,
@@ -395,161 +425,9 @@ impl DistResidentEngine {
             options.overlap,
             &options.supervisor,
         )?;
-        let result = drive_resident_ft_with(
-            &dom,
-            &cfg,
-            self.inner.elem_weights(),
-            self.inner.interface_classes().len(),
-            &mut transport,
-            mesh.coords_mut(),
-            &options.policy,
-            &mut NullTrace,
-        );
-        match result {
-            Ok((report, stats)) => {
-                transport.shutdown()?;
-                Ok((report, stats))
-            }
-            Err(e) => {
-                let _ = transport.shutdown();
-                Err(e)
-            }
-        }
-    }
-}
-
-/// Multi-process resident smoothing of tetrahedral meshes — the 3D twin
-/// of [`DistResidentEngine`], wrapping [`ResidentEngine3`]. One wire
-/// serialisation covers both dimensions: only the handshake's coordinate
-/// dimension differs.
-#[derive(Debug, Clone)]
-pub struct DistResidentEngine3 {
-    inner: ResidentEngine3,
-}
-
-impl DistResidentEngine3 {
-    /// Build the engine for `mesh` under `params` and an existing
-    /// decomposition (Gauss–Seidel parameters only).
-    pub fn new(mesh: &TetMesh, params: SmoothParams3, partition: Partition) -> Self {
-        DistResidentEngine3 { inner: ResidentEngine3::new(mesh, params, partition) }
-    }
-
-    /// Convenience: decompose `mesh` into `num_parts` with `method`, then
-    /// build the engine.
-    pub fn by_method(
-        mesh: &TetMesh,
-        params: SmoothParams3,
-        num_parts: usize,
-        method: PartitionMethod,
-    ) -> Self {
-        DistResidentEngine3 { inner: ResidentEngine3::by_method(mesh, params, num_parts, method) }
-    }
-
-    /// The wrapped in-process engine (shared blocks, schedule, classes).
-    pub fn inner(&self) -> &ResidentEngine3 {
-        &self.inner
-    }
-
-    /// Number of rank processes a run forks (= number of parts).
-    pub fn num_ranks(&self) -> usize {
-        self.inner.blocks().len()
-    }
-
-    /// Fault-tolerant distributed 3D run — the twin of
-    /// [`DistResidentEngine::smooth_ft`].
-    pub fn smooth_ft(
-        &self,
-        mesh: &mut TetMesh,
-        options: &FtOptions,
-    ) -> Result<(SmoothReport, FtStats), DistError> {
-        let (report, stats, _) = self.smooth_ft_with(mesh, options, &mut NullTrace)?;
+        let (report, stats, _) =
+            self.drive(&dom, &cfg, transport, coords, &options.policy, &mut NullTrace)?;
         Ok((report, stats))
-    }
-
-    /// [`smooth_ft`](Self::smooth_ft) with an explicit driver-side
-    /// [`TraceSink`] — the twin of [`DistResidentEngine::smooth_ft_with`].
-    pub fn smooth_ft_with<S: TraceSink>(
-        &self,
-        mesh: &mut TetMesh,
-        options: &FtOptions,
-        sink: &mut S,
-    ) -> Result<(SmoothReport, FtStats, TransportProfile), DistError> {
-        assert_eq!(
-            mesh.num_vertices(),
-            self.inner.partition().len(),
-            "engine was built for a different mesh"
-        );
-        let dom = self.inner.engine().domain();
-        let cfg = self.inner.engine().params().domain_config();
-        let mut transport = spawn_laddered(
-            &dom,
-            &cfg,
-            self.inner.blocks(),
-            self.inner.exchange_schedule(),
-            options,
-        )?;
-        let result = drive_resident_ft_with(
-            &dom,
-            &cfg,
-            self.inner.elem_weights(),
-            self.inner.interface_classes().len(),
-            &mut transport,
-            mesh.coords_mut(),
-            &options.policy,
-            sink,
-        );
-        match result {
-            Ok((report, stats)) => {
-                let profile = transport.take_profile();
-                transport.shutdown()?;
-                Ok((report, stats, profile))
-            }
-            Err(e) => {
-                let _ = transport.shutdown();
-                Err(e)
-            }
-        }
-    }
-
-    /// Profiled fault-tolerant 3D run — the twin of
-    /// [`DistResidentEngine::smooth_profiled`].
-    pub fn smooth_profiled(
-        &self,
-        mesh: &mut TetMesh,
-        options: &FtOptions,
-    ) -> Result<(SmoothReport, FtStats, Recorder), DistError> {
-        let mut opts = options.clone();
-        opts.profile = true;
-        let mut recorder = Recorder::new(0);
-        let (mut report, stats, profile) = self.smooth_ft_with(mesh, &opts, &mut recorder)?;
-        record_overlap_span(&mut recorder, &profile);
-        let mut breakdown = PhaseBreakdown::default();
-        breakdown.apply_span_totals(&recorder.span_totals());
-        breakdown.transport = profile;
-        report.phase_breakdown = Some(breakdown);
-        Ok((report, stats, recorder))
-    }
-
-    /// Distributed resident 3D Gauss–Seidel smoothing; bit-identical to
-    /// [`ResidentEngine3::smooth`], degrading to it when rank processes
-    /// cannot be spawned.
-    pub fn smooth(&self, mesh: &mut TetMesh) -> SmoothReport {
-        self.smooth_with(mesh, &FtOptions::default())
-    }
-
-    /// [`smooth`](Self::smooth) with explicit options.
-    pub fn smooth_with(&self, mesh: &mut TetMesh, options: &FtOptions) -> SmoothReport {
-        match self.smooth_ft(mesh, options) {
-            Ok((report, _)) => report,
-            Err(e @ (DistError::Spawn(_) | DistError::ConnRefused { .. })) => {
-                eprintln!(
-                    "lms-dist: cannot establish a rank group ({e}); \
-                     degrading to the in-process resident engine"
-                );
-                self.inner.smooth(mesh, self.num_ranks().max(1))
-            }
-            Err(e) => panic!("distributed smoothing failed beyond recovery: {e}"),
-        }
     }
 }
 

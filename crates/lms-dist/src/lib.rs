@@ -19,9 +19,10 @@
 //! * this crate only *moves bytes*: [`ProcessTransport`] implements the
 //!   transport operations as frames over pipes or stream sockets (its
 //!   [`ProcessTransport::spawn`], [`ProcessTransport::spawn_forked`] and
-//!   [`ProcessTransport::listen`] constructors pick the substrate), and the
-//!   [`DistResidentEngine`] / [`DistResidentEngine3`] wrappers reuse the
-//!   in-process engines' construction wholesale.
+//!   [`ProcessTransport::listen`] constructors pick the substrate), and
+//!   the one [`DistResident`] wrapper ([`DistResidentEngine`] in 2D,
+//!   [`DistResidentEngine3`] in 3D) reuses the in-process engine's
+//!   construction wholesale.
 //!
 //! Because both transports run the same ranks, route the same coalesced
 //! per-pair batches in the same order and charge the same wire-length
@@ -65,12 +66,12 @@ pub mod transport;
 pub(crate) mod worker;
 
 pub use engines::{
-    smooth_distributed, smooth_distributed3, DistResidentEngine, DistResidentEngine3, FtOptions,
-    TransportMode,
+    smooth_distributed, smooth_distributed3, DistResident, DistResidentEngine, DistResidentEngine3,
+    FtOptions, TransportMode,
 };
 pub use error::DistError;
 pub use fault::{FaultPlan, FaultPoint, WorkerFault, INJECTED_KILL_EXIT, REFUSED_CONNECT_EXIT};
-pub use socket::{serve_standalone_tet, serve_standalone_tri, Listener, SocketSpec, Supervisor};
+pub use socket::{serve_standalone, Listener, SocketSpec, Supervisor};
 pub use transport::ProcessTransport;
 
 pub(crate) mod codec {

@@ -20,12 +20,11 @@
 //!   identifying `Hello` carrying its rank id, so accept order never
 //!   matters: the coordinator parks out-of-order connections and binds
 //!   each stream to its rank.
-//! * **Standalone workers** — [`serve_standalone_tri`] /
-//!   [`serve_standalone_tet`] rebuild the rank engine deterministically
-//!   from the shared problem parameters (MPI input-deck style: every
-//!   process derives the same partition from the same mesh), connect,
-//!   and serve — the `lms-tool dist-worker` entry point, so ranks can
-//!   live on other hosts.
+//! * **Standalone workers** — [`serve_standalone`] serves one rank of a
+//!   resident engine the worker rebuilt deterministically from the
+//!   shared problem parameters (MPI input-deck style: every process
+//!   derives the same partition from the same mesh) — the `lms-tool
+//!   dist-worker` entry point, so ranks can live on other hosts.
 //!
 //! The socket rung is not a transport type of its own: the
 //! [`ProcessTransport::spawn_forked`] and [`ProcessTransport::listen`]
@@ -45,6 +44,7 @@ use lms_part::wire::{Frame, WireError, WIRE_VERSION};
 use lms_part::{ExchangeSchedule, MessagePlan};
 use lms_smooth::domain::{DomainConfig, DomainPoint, SmoothDomain};
 use lms_smooth::resident::{ResidentBlock, ResidentRank};
+use lms_smooth::{DomainEngine, Resident};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, IntoRawFd};
@@ -317,8 +317,8 @@ impl Drop for Listener {
 /// from pipes to supervised sockets. Workers are either forked locally
 /// and dial back over the socket ([`spawn_forked`](Self::spawn_forked))
 /// or external standalone processes — possibly on other hosts — accepted
-/// by rank id ([`listen`](Self::listen) + [`serve_standalone_tri`] /
-/// [`serve_standalone_tet`] on the worker side).
+/// by rank id ([`listen`](Self::listen) + [`serve_standalone`] on the
+/// worker side).
 impl<'a, const C: usize, D: SmoothDomain<C>> ProcessTransport<'a, C, D> {
     /// Bind `spec`, fork one worker per part, and have each dial back
     /// with supervised retry/backoff and identify itself by rank.
@@ -414,85 +414,32 @@ fn check_rung_veto(spec: &SocketSpec, faults: &FaultPlan) -> Result<(), DistErro
 }
 
 /// Connect to a coordinator at `spec` and serve rank `rank` until it
-/// sends `Shutdown`. The rank state is built from the same topology the
-/// coordinator holds — a standalone worker derives it from the shared
-/// problem parameters (same mesh generation, same partition method ⇒
-/// same blocks), MPI input-deck style, so nothing but run state ever
-/// crosses the wire.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_standalone<const C: usize, D: SmoothDomain<C>>(
-    dom: &D,
-    cfg: &DomainConfig,
+/// sends `Shutdown`. The rank state comes from `engine` — built by the
+/// worker from the same problem parameters as the coordinator's (same
+/// mesh generation, same partition method ⇒ same blocks), MPI input-deck
+/// style, so nothing but run state ever crosses the wire.
+pub fn serve_standalone<const C: usize, E: DomainEngine<C>>(
+    engine: &Resident<C, E>,
     rank: u32,
-    block: &ResidentBlock<C>,
-    schedule: &ExchangeSchedule,
-    plan: &MessagePlan,
     spec: &SocketSpec,
     supervisor: &Supervisor,
 ) -> io::Result<()> {
     let (input, mut output) = connect_with_retry(spec, &supervisor.retry_policy(rank))?;
     // identifying Hello first: binds this stream to its rank id on the
     // coordinator side, whatever order the workers dialled in
-    Frame::Hello {
-        version: WIRE_VERSION,
-        dim: <D::Point as DomainPoint>::DIM as u8,
-        rank,
-        profile: false,
-    }
-    .write_to(&mut output)?;
-    let mut resident = ResidentRank::new(dom, cfg, rank, block, schedule, plan);
+    Frame::Hello { version: WIRE_VERSION, dim: E::Point::DIM as u8, rank, profile: false }
+        .write_to(&mut output)?;
+    let dom = engine.engine().domain();
+    let cfg = engine.engine().domain_config();
+    let schedule = engine.exchange_schedule();
+    let plan = MessagePlan::build(schedule);
+    let block = &engine.blocks()[rank as usize];
+    let mut resident = ResidentRank::new(&dom, &cfg, rank, block, schedule, &plan);
     match crate::worker::serve(&mut resident, input, output, &Default::default()) {
         Ok(_) => Ok(()),
         Err(WireError::Io(e)) => Err(e),
         Err(e) => Err(io::Error::other(e.to_string())),
     }
-}
-
-/// [`serve_standalone`] for a triangle-mesh rank rebuilt from a
-/// [`lms_smooth::ResidentEngine`] (the worker constructs the engine from
-/// the same inputs as the coordinator).
-pub fn serve_standalone_tri(
-    engine: &lms_smooth::ResidentEngine,
-    rank: u32,
-    spec: &SocketSpec,
-    supervisor: &Supervisor,
-) -> io::Result<()> {
-    let dom = engine.engine().domain();
-    let cfg = DomainConfig::from(engine.engine().params());
-    let plan = MessagePlan::build(engine.exchange_schedule());
-    serve_standalone(
-        &dom,
-        &cfg,
-        rank,
-        &engine.blocks()[rank as usize],
-        engine.exchange_schedule(),
-        &plan,
-        spec,
-        supervisor,
-    )
-}
-
-/// [`serve_standalone`] for a tetrahedral-mesh rank rebuilt from a
-/// [`lms_mesh3d::ResidentEngine3`].
-pub fn serve_standalone_tet(
-    engine: &lms_mesh3d::ResidentEngine3,
-    rank: u32,
-    spec: &SocketSpec,
-    supervisor: &Supervisor,
-) -> io::Result<()> {
-    let dom = engine.engine().domain();
-    let cfg = engine.engine().params().domain_config();
-    let plan = MessagePlan::build(engine.exchange_schedule());
-    serve_standalone(
-        &dom,
-        &cfg,
-        rank,
-        &engine.blocks()[rank as usize],
-        engine.exchange_schedule(),
-        &plan,
-        spec,
-        supervisor,
-    )
 }
 
 #[cfg(test)]

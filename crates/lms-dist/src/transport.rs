@@ -7,7 +7,7 @@
 //! inherits the engine's immutable topology — its
 //! [`ResidentBlock`], the [`ExchangeSchedule`] and the domain view —
 //! copy-on-write at fork time, builds its [`ResidentRank`] and serves
-//! frames ([`crate::worker`]); only *run state* ever crosses the wire:
+//! frames (the `worker` module); only *run state* ever crosses the wire:
 //! one gather and one scatter of block coordinates, per-color-step
 //! coalesced halo-delta batches, and per-iteration stat reports.
 //!
@@ -73,7 +73,7 @@
 //!   carry no score traffic. Checkpoint traffic is deliberately not
 //!   charged to any [`ExchangeVolume`] — recovered and failure-free runs
 //!   must report identical exchange accounting.
-//! * **Recovery** — [`recover`](Self::recover) puts the group back at the
+//! * **Recovery** — [`recover`](lms_smooth::FtResidentTransport::recover) puts the group back at the
 //!   last checkpoint: kill + reap the failed rank, drain every survivor
 //!   to protocol quiescence (discarding its in-flight round), fork a
 //!   replacement (with a disarmed fault plan), and reload **all** ranks

@@ -2,177 +2,61 @@
 //! instantiation of `lms-smooth`'s dimension-generic
 //! domain-decomposition engine.
 //!
-//! Nothing here sweeps: [`ResidentEngine3`] bundles a
-//! [`TetDomain`](crate::domain::TetDomain) with an
-//! [`lms_part::Partition`] built by [`crate::domain::partition_tet_mesh`]
-//! and runs the **same** generic block builder and driver as the 2D
-//! [`lms_smooth::ResidentEngine`].
+//! Nothing here sweeps or builds blocks: [`ResidentEngine3`] is
+//! [`lms_smooth::Resident`] over [`SmoothEngine3`], whose [`DomainEngine`]
+//! impl supplies the [`TetDomain`] view and partitions with
+//! [`crate::domain::partition_tet_mesh`] on the engine's own adjacency.
 //! The resident protocol — one full gather, moved-only halo-delta routing
 //! per interface color step along the [`lms_part::ExchangeSchedule`], one
 //! parallel disjoint scatter, [`lms_smooth::ExchangeVolume`] accounting —
-//! therefore lands in 3D for free, and the determinism/serial-equivalence
+//! is therefore the 2D engine's, and the determinism/serial-equivalence
 //! guarantees carry over verbatim (property-tested in
 //! `tests/resident3.rs` against serial part-major 3D Gauss–Seidel across
 //! thread counts and part counts).
 
-use crate::adjacency::Adjacency3;
-use crate::domain::partition_tet_mesh;
+use crate::domain::{partition_tet_mesh, TetDomain};
+use crate::geometry::Point3;
 use crate::mesh::TetMesh;
-use crate::smooth::{SmoothEngine3, SmoothParams3, UpdateScheme3};
-use lms_part::{ExchangeSchedule, Partition, PartitionMethod};
-use lms_smooth::resident::{
-    build_resident_blocks, interface_classes, resident_part_major_order, smooth_resident_on,
-    smooth_resident_profiled_on, ResidentBlock,
-};
-use lms_smooth::SmoothReport;
+use crate::smooth::{SmoothEngine3, SmoothParams3};
+use lms_part::{Partition, PartitionMethod};
+use lms_smooth::domain::DomainConfig;
+use lms_smooth::{DomainEngine, PoolCache, Resident, SmoothReport};
 
-/// Resident-block halo-exchange smoothing of tetrahedral meshes: blocks
-/// stay resident for the whole run, only moved halo deltas travel between
-/// interface color steps, one disjoint scatter at the end — the 3D twin
-/// of [`lms_smooth::ResidentEngine`], sharing its generic protocol and
-/// [`lms_smooth::ExchangeVolume`] accounting
-/// (`full_gathers == 1 && full_scatters == 1`).
-#[derive(Debug, Clone)]
-pub struct ResidentEngine3 {
-    engine: SmoothEngine3,
-    partition: Partition,
-    schedule: ExchangeSchedule,
-    blocks: Vec<ResidentBlock<4>>,
-    interface_classes: Vec<Vec<u32>>,
-    /// Constant global element weights `w_t` of the quality functional.
-    elem_w: Vec<f64>,
-}
+/// Resident-block halo-exchange smoothing of tetrahedral meshes.
+pub type ResidentEngine3 = Resident<4, SmoothEngine3>;
 
-impl ResidentEngine3 {
-    /// Build a resident 3D engine for `mesh` under `params` and an
-    /// existing decomposition (Gauss–Seidel parameters only).
-    pub fn new(mesh: &TetMesh, params: SmoothParams3, partition: Partition) -> Self {
-        assert_eq!(
-            partition.len(),
-            mesh.num_vertices(),
-            "partition was built for a different mesh"
-        );
-        assert_eq!(
-            params.update,
-            UpdateScheme3::GaussSeidel,
-            "resident smoothing is an in-place (Gauss-Seidel) schedule; \
-             use smooth_parallel for deterministic Jacobi"
-        );
-        let engine = SmoothEngine3::new(mesh, params);
-        let interface_classes = interface_classes(engine.interior_color_classes(), &partition);
-        let schedule = ExchangeSchedule::build(&partition);
-        let (blocks, elem_w) =
-            build_resident_blocks(&engine.domain(), &partition, &interface_classes);
-        ResidentEngine3 { engine, partition, schedule, blocks, interface_classes, elem_w }
+impl DomainEngine<4> for SmoothEngine3 {
+    type Mesh = TetMesh;
+    type Params = SmoothParams3;
+    type Point = Point3;
+    type Domain<'a> = TetDomain<'a>;
+
+    fn new(mesh: &TetMesh, params: SmoothParams3) -> Self {
+        SmoothEngine3::new(mesh, params)
     }
 
-    /// Convenience: decompose `mesh` into `num_parts` with `method`, then
-    /// build the engine.
-    pub fn by_method(
-        mesh: &TetMesh,
-        params: SmoothParams3,
-        num_parts: usize,
-        method: PartitionMethod,
-    ) -> Self {
-        let adj = Adjacency3::build(mesh);
-        let partition = partition_tet_mesh(mesh, &adj, num_parts, method);
-        ResidentEngine3::new(mesh, params, partition)
+    fn domain(&self) -> TetDomain<'_> {
+        SmoothEngine3::domain(self)
     }
 
-    /// The underlying serial engine (adjacency, boundary, parameters).
-    pub fn engine(&self) -> &SmoothEngine3 {
-        &self.engine
+    fn domain_config(&self) -> DomainConfig {
+        self.params().domain_config()
     }
 
-    /// The decomposition the engine runs on.
-    pub fn partition(&self) -> &Partition {
-        &self.partition
+    fn interior_color_classes(&self) -> &[Vec<u32>] {
+        SmoothEngine3::interior_color_classes(self)
     }
 
-    /// The static halo-exchange pattern the runs route moved deltas along.
-    pub fn exchange_schedule(&self) -> &ExchangeSchedule {
-        &self.schedule
+    fn pool(&self) -> &PoolCache {
+        SmoothEngine3::pool(self)
     }
 
-    /// The global interface color classes the interface phase steps
-    /// through.
-    pub fn interface_classes(&self) -> &[Vec<u32>] {
-        &self.interface_classes
+    fn coords_mut(mesh: &mut TetMesh) -> &mut [Point3] {
+        mesh.coords_mut()
     }
 
-    /// The per-part resident topologies — one block per part, the
-    /// per-rank state of a distributed backend.
-    pub fn blocks(&self) -> &[ResidentBlock<4>] {
-        &self.blocks
-    }
-
-    /// The constant global element weights `w_t` of the quality
-    /// functional.
-    pub fn elem_weights(&self) -> &[f64] {
-        &self.elem_w
-    }
-
-    /// The serial visit order this engine's sweep is exactly equal to
-    /// (feed it to [`SmoothEngine3::with_visit_order`]).
-    pub fn part_major_visit_order(&self) -> Vec<u32> {
-        resident_part_major_order(&self.blocks, &self.interface_classes)
-    }
-
-    /// Resident in-place 3D Gauss–Seidel smoothing: one full gather,
-    /// halo-delta exchange between color steps, one parallel disjoint
-    /// scatter. Race-free, bitwise-deterministic for any `num_threads`,
-    /// exactly serial Gauss–Seidel under
-    /// [`part_major_visit_order`](Self::part_major_visit_order); the
-    /// report carries the [`lms_smooth::ExchangeVolume`] counters.
-    pub fn smooth(&self, mesh: &mut TetMesh, num_threads: usize) -> SmoothReport {
-        assert!(num_threads >= 1, "need at least one thread");
-        assert_eq!(
-            mesh.num_vertices(),
-            self.engine.adjacency().num_vertices(),
-            "engine was built for a different mesh"
-        );
-        let pool = self.engine.pool.get(num_threads);
-        let dom = self.engine.domain();
-        smooth_resident_on(
-            &dom,
-            &self.engine.params().domain_config(),
-            &self.blocks,
-            &self.elem_w,
-            &self.interface_classes,
-            &self.schedule,
-            mesh.coords_mut(),
-            &pool,
-        )
-    }
-
-    /// [`smooth`](Self::smooth) with phase profiling: the driver records
-    /// its spans into the returned [`lms_trace::Recorder`] and the report
-    /// comes back with `phase_breakdown` populated — coordinates and all
-    /// other report fields bit-identical to the unprofiled run. The 3D
-    /// twin of [`lms_smooth::ResidentEngine::smooth_profiled`].
-    pub fn smooth_profiled(
-        &self,
-        mesh: &mut TetMesh,
-        num_threads: usize,
-    ) -> (SmoothReport, lms_trace::Recorder) {
-        assert!(num_threads >= 1, "need at least one thread");
-        assert_eq!(
-            mesh.num_vertices(),
-            self.engine.adjacency().num_vertices(),
-            "engine was built for a different mesh"
-        );
-        let pool = self.engine.pool.get(num_threads);
-        let dom = self.engine.domain();
-        smooth_resident_profiled_on(
-            &dom,
-            &self.engine.params().domain_config(),
-            &self.blocks,
-            &self.elem_w,
-            &self.interface_classes,
-            &self.schedule,
-            mesh.coords_mut(),
-            &pool,
-        )
+    fn partition(&self, mesh: &TetMesh, num_parts: usize, method: PartitionMethod) -> Partition {
+        partition_tet_mesh(mesh, self.adjacency(), num_parts, method)
     }
 }
 
@@ -192,6 +76,7 @@ pub fn smooth_resident3(
 mod tests {
     use super::*;
     use crate::generators::perturbed_tet_grid;
+    use crate::smooth::UpdateScheme3;
 
     #[test]
     fn improves_quality_and_pins_boundary() {

@@ -13,8 +13,9 @@
 //! gone; only the 3D-specific pieces (parameters, the static-chunk Jacobi
 //! engine, the colored class computation) remain.
 //!
-//! Resident (halo-exchange) smoothing over a tet-mesh decomposition
-//! lives in [`crate::part3`].
+//! Resident (halo-exchange) smoothing over a tet-mesh decomposition is
+//! `lms-smooth`'s generic resident engine over this one
+//! ([`crate::part3`]).
 
 use crate::adjacency::Adjacency3;
 use crate::boundary::Boundary3;
@@ -24,18 +25,13 @@ use crate::quality::{mesh_quality, TetQualityMetric};
 use lms_smooth::domain::DomainConfig;
 use lms_smooth::stats::{IterationStats, SmoothReport};
 use lms_smooth::trace::{AccessSink, NullSink};
-use lms_smooth::{UpdateScheme, Weighting};
+use lms_smooth::Weighting;
 use rayon::prelude::*;
 
-/// Update scheme for the 3D sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UpdateScheme3 {
-    /// In-place: later vertices in the sweep see already-moved neighbours.
-    #[default]
-    GaussSeidel,
-    /// Double-buffered: every vertex reads the previous sweep's positions.
-    Jacobi,
-}
+/// Update scheme for the 3D sweep — the 2D engine's
+/// [`UpdateScheme`](lms_smooth::UpdateScheme): Gauss–Seidel (in place)
+/// or Jacobi (double-buffered).
+pub use lms_smooth::UpdateScheme as UpdateScheme3;
 
 /// Parameters of a 3D smoothing run.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,10 +114,7 @@ impl SmoothParams3 {
         DomainConfig {
             tol: self.tol,
             max_iters: self.max_iters,
-            update: match self.update {
-                UpdateScheme3::GaussSeidel => UpdateScheme::GaussSeidel,
-                UpdateScheme3::Jacobi => UpdateScheme::Jacobi,
-            },
+            update: self.update,
             smart: self.smart,
             weighting: Weighting::Uniform,
             scalar_scoring: self.scalar_scoring,
@@ -144,7 +137,7 @@ pub struct SmoothEngine3 {
     colored_classes: std::sync::OnceLock<Vec<Vec<u32>>>,
     /// Cached persistent worker pool: the parallel engines spawn OS
     /// threads once per engine lifetime, not once per `smooth()` call.
-    pub(crate) pool: lms_smooth::PoolCache,
+    pool: lms_smooth::PoolCache,
 }
 
 impl SmoothEngine3 {
@@ -242,6 +235,7 @@ impl SmoothEngine3 {
             &self.visit,
             mesh.coords_mut(),
             sink,
+            false,
         )
     }
 

@@ -449,6 +449,9 @@ fn tri_elr_batch(coords: &SoaCoords<2>, rows: &[[u32; 3]], out: &mut [(f64, bool
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 #[inline]
+// SAFETY: callers must have verified AVX at runtime (`tri_elr_batch`
+// does); every packed load/store goes through a `LANES`-long local
+// array, and the corner gathers are bounds-checked slice indexing.
 unsafe fn tri_elr_main_avx(xs: &[f64], ys: &[f64], rows: &[[u32; 3]], out: &mut [(f64, bool)]) {
     use core::arch::x86_64::*;
     const { assert!(LANES == 4, "one 256-bit register holds exactly one block") };
@@ -457,10 +460,13 @@ unsafe fn tri_elr_main_avx(xs: &[f64], ys: &[f64], rows: &[[u32; 3]], out: &mut 
     // maxNum/minNum: packed max/min, then restore `a` where `b` is NaN
     // (cmp-unord on `b` with itself) to match `f64::max`/`f64::min`.
     #[inline(always)]
+    // SAFETY: register-only AVX ops, reached only from the AVX-enabled
+    // caller.
     unsafe fn maxnum(a: __m256d, b: __m256d) -> __m256d {
         _mm256_blendv_pd(_mm256_max_pd(a, b), a, _mm256_cmp_pd::<_CMP_UNORD_Q>(b, b))
     }
     #[inline(always)]
+    // SAFETY: as for `maxnum`.
     unsafe fn minnum(a: __m256d, b: __m256d) -> __m256d {
         _mm256_blendv_pd(_mm256_min_pd(a, b), a, _mm256_cmp_pd::<_CMP_UNORD_Q>(b, b))
     }
@@ -723,32 +729,38 @@ fn star_valid_with<const C: usize, D: SmoothDomain<C>>(
 
 /// The generic **reference** smoothing path: full-mesh quality recompute
 /// every sweep, mean-vs-mean smart guard, per-access tracing — Algorithm 1
-/// as written, for any [`SmoothDomain`]. `SmoothEngine3` delegates its
-/// serial (and traced) runs here; the 2D engine keeps its own concrete
-/// reference body as the historical oracle the incremental kernel is
-/// property-tested against.
+/// as written, for any [`SmoothDomain`]. Both serial engines run their
+/// reference and traced sweeps here, and it is the oracle the incremental
+/// kernel is property-tested against.
+///
+/// Every visited vertex reports one access for itself and one per
+/// gathered neighbour. With `trace_quality` set, the vertex's **quality
+/// update** (Algorithm 1, line 13: re-scoring its incident elements) is
+/// reported too, as element ids `num_vertices + t` for element `t`.
 pub fn smooth_reference_on<const C: usize, D: SmoothDomain<C>, S: AccessSink>(
     dom: &D,
     cfg: &DomainConfig,
     visit: &[u32],
     coords: &mut [D::Point],
     sink: &mut S,
+    trace_quality: bool,
 ) -> SmoothReport {
     assert_eq!(coords.len(), dom.num_vertices(), "engine was built for a different mesh");
     let initial_quality = domain_quality(dom, coords);
     let mut report = SmoothReport::starting(initial_quality);
     let mut quality = initial_quality;
     let mut scratch: Vec<D::Point> = Vec::new();
+    let elem_base = trace_quality.then_some(dom.num_vertices() as u32);
 
     for iter in 1..=cfg.max_iters {
         match cfg.update {
             UpdateScheme::GaussSeidel => {
-                reference_sweep_gs(dom, cfg, visit, coords, sink);
+                reference_sweep_gs(dom, cfg, visit, coords, sink, elem_base);
             }
             UpdateScheme::Jacobi => {
                 scratch.clear();
                 scratch.extend_from_slice(coords);
-                reference_sweep_jacobi(dom, cfg, visit, &scratch, coords, sink);
+                reference_sweep_jacobi(dom, cfg, visit, &scratch, coords, sink, elem_base);
             }
         }
         sink.end_iteration();
@@ -766,6 +778,22 @@ pub fn smooth_reference_on<const C: usize, D: SmoothDomain<C>, S: AccessSink>(
     report
 }
 
+/// Report `v`'s quality-update accesses (its incident element records,
+/// in the `elem_base + t` id range) when element tracing is on.
+#[inline]
+fn trace_quality_update<const C: usize, D: SmoothDomain<C>, S: AccessSink>(
+    dom: &D,
+    v: u32,
+    elem_base: Option<u32>,
+    sink: &mut S,
+) {
+    if let Some(base) = elem_base {
+        for &t in dom.elements_of(v) {
+            sink.access(base + t);
+        }
+    }
+}
+
 /// One in-place (Gauss–Seidel) reference sweep: later vertices see
 /// already-committed neighbours.
 fn reference_sweep_gs<const C: usize, D: SmoothDomain<C>, S: AccessSink>(
@@ -774,6 +802,7 @@ fn reference_sweep_gs<const C: usize, D: SmoothDomain<C>, S: AccessSink>(
     visit: &[u32],
     coords: &mut [D::Point],
     sink: &mut S,
+    elem_base: Option<u32>,
 ) {
     for &v in visit {
         let ns = dom.neighbors(v);
@@ -800,6 +829,7 @@ fn reference_sweep_gs<const C: usize, D: SmoothDomain<C>, S: AccessSink>(
         } else {
             coords[v as usize] = candidate;
         }
+        trace_quality_update(dom, v, elem_base, sink);
     }
 }
 
@@ -812,6 +842,7 @@ fn reference_sweep_jacobi<const C: usize, D: SmoothDomain<C>, S: AccessSink>(
     prev: &[D::Point],
     next: &mut [D::Point],
     sink: &mut S,
+    elem_base: Option<u32>,
 ) {
     for &v in visit {
         let ns = dom.neighbors(v);
@@ -837,6 +868,7 @@ fn reference_sweep_jacobi<const C: usize, D: SmoothDomain<C>, S: AccessSink>(
         } else {
             next[v as usize] = candidate;
         }
+        trace_quality_update(dom, v, elem_base, sink);
     }
 }
 

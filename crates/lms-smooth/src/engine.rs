@@ -1,12 +1,11 @@
 //! The serial smoothing engine (Algorithm 1).
 
-use crate::config::{IterationPolicy, SmoothParams, UpdateScheme};
+use crate::config::{IterationPolicy, SmoothParams};
+use crate::domain::DomainConfig;
 use crate::greedy::greedy_visit_order;
-use crate::stats::{IterationStats, SmoothReport};
+use crate::stats::SmoothReport;
 use crate::trace::{AccessSink, NullSink};
-use crate::weighting::weighted_candidate;
-use lms_mesh::geometry::Point2;
-use lms_mesh::quality::{mesh_quality, vertex_qualities};
+use lms_mesh::quality::vertex_qualities;
 use lms_mesh::{Adjacency, Boundary, TriMesh};
 
 /// A smoothing engine bound to one mesh topology.
@@ -16,9 +15,10 @@ use lms_mesh::{Adjacency, Boundary, TriMesh};
 /// the mesh (or any mesh with identical connectivity — e.g. a re-smoothing
 /// after further perturbation) without re-deriving topology.
 ///
-/// The triangle connectivity is held behind an [`Arc`]: cloning the engine
-/// (or handing the connectivity to the colored parallel engine) shares
-/// one allocation instead of copying the array per engine.
+/// The triangle connectivity is held behind an [`Arc`](std::sync::Arc):
+/// cloning the engine (or handing the connectivity to the colored
+/// parallel engine) shares one allocation instead of copying the array
+/// per engine.
 #[derive(Debug, Clone)]
 pub struct SmoothEngine {
     pub(crate) params: SmoothParams,
@@ -96,40 +96,6 @@ impl SmoothEngine {
         &self.triangles
     }
 
-    /// Mean quality of the triangles incident to `v`, evaluated on
-    /// `coords`.
-    fn local_quality(&self, coords: &[Point2], v: u32) -> f64 {
-        self.local_quality_with(coords, v, coords[v as usize])
-    }
-
-    /// [`local_quality`](Self::local_quality) with `v`'s position
-    /// overridden by `pos_v` (no buffer copy).
-    ///
-    /// Orientation-aware: a triangle whose stored vertex order turns
-    /// non-positive in area scores 0 — shape metrics like edge-length
-    /// ratio are blind to inversion, and guarding against inversions is
-    /// the point of Freitag's smart variant. (Assumes a consistently CCW
-    /// mesh, which every generator in `lms-mesh` produces.)
-    fn local_quality_with(&self, coords: &[Point2], v: u32, pos_v: Point2) -> f64 {
-        let ts = self.adj.triangles_of(v);
-        if ts.is_empty() {
-            return 0.0;
-        }
-        let at = |u: u32| if u == v { pos_v } else { coords[u as usize] };
-        ts.iter()
-            .map(|&t| {
-                let [a, b, c] = self.triangles[t as usize];
-                let (pa, pb, pc) = (at(a), at(b), at(c));
-                if lms_mesh::geometry::signed_area(pa, pb, pc) <= 0.0 {
-                    0.0
-                } else {
-                    self.params.metric.triangle_quality(pa, pb, pc)
-                }
-            })
-            .sum::<f64>()
-            / ts.len() as f64
-    }
-
     /// Replace the sweep visit order — the *iteration reordering* of
     /// Strout & Hovland \[18\], decoupled from the data layout.
     ///
@@ -201,18 +167,18 @@ impl SmoothEngine {
 
     /// The pre-incremental reference path: recomputes the full mesh
     /// quality from scratch every iteration and re-evaluates both sides of
-    /// every smart-commit test. Kept as the oracle for property tests and
-    /// as the baseline the `bench_smooth_hot` bench measures the
-    /// incremental path against.
+    /// every smart-commit test ([`crate::smooth_reference_on`]). Kept as
+    /// the oracle for property tests and as the baseline the
+    /// `bench_smooth_hot` bench measures the incremental path against.
     pub fn smooth_full_recompute(&self, mesh: &mut TriMesh) -> SmoothReport {
-        self.smooth_traced_opts(mesh, &mut NullSink, false)
+        self.smooth_reference(mesh, &mut NullSink, false)
     }
 
     /// [`smooth`](Self::smooth) while reporting every vertex-record access
     /// to `sink` (one event for the smoothed vertex, one per gathered
     /// neighbour — the stream analysed in §5.2.3).
     pub fn smooth_traced(&self, mesh: &mut TriMesh, sink: &mut impl AccessSink) -> SmoothReport {
-        self.smooth_traced_opts(mesh, sink, false)
+        self.smooth_reference(mesh, sink, false)
     }
 
     /// [`smooth_traced`](Self::smooth_traced) that additionally reports the
@@ -228,154 +194,23 @@ impl SmoothEngine {
         mesh: &mut TriMesh,
         sink: &mut impl AccessSink,
     ) -> SmoothReport {
-        self.smooth_traced_opts(mesh, sink, true)
+        self.smooth_reference(mesh, sink, true)
     }
 
-    fn smooth_traced_opts(
+    fn smooth_reference(
         &self,
         mesh: &mut TriMesh,
         sink: &mut impl AccessSink,
         trace_quality: bool,
     ) -> SmoothReport {
-        assert_eq!(
-            mesh.num_vertices(),
-            self.adj.num_vertices(),
-            "engine was built for a different mesh"
-        );
-        let initial_quality = mesh_quality(mesh, &self.adj, self.params.metric);
-        let mut report = SmoothReport::starting(initial_quality);
-        let mut quality = initial_quality;
-        let mut scratch: Vec<Point2> = Vec::new();
-
-        let tri_base = if trace_quality { Some(mesh.num_vertices() as u32) } else { None };
-        for iter in 1..=self.params.max_iters {
-            match self.params.update {
-                UpdateScheme::GaussSeidel => {
-                    self.sweep_gauss_seidel(mesh.coords_mut(), sink, tri_base)
-                }
-                UpdateScheme::Jacobi => {
-                    scratch.clear();
-                    scratch.extend_from_slice(mesh.coords());
-                    self.sweep_jacobi(&scratch, mesh.coords_mut(), sink, tri_base);
-                }
-            }
-            sink.end_iteration();
-
-            let new_quality = mesh_quality(mesh, &self.adj, self.params.metric);
-            let improvement = new_quality - quality;
-            report.iterations.push(IterationStats { iter, quality: new_quality, improvement });
-            quality = new_quality;
-            if improvement < self.params.tol {
-                report.converged = true;
-                break;
-            }
-        }
-        report.final_quality = quality;
-        report
-    }
-
-    /// Smart-commit validity rule: a move may never turn a currently
-    /// valid vertex star (all incident triangles positively oriented)
-    /// into an invalid one. The mean-quality test alone cannot guarantee
-    /// this — a move can invert one incident triangle (scoring 0) yet
-    /// still raise the mean.
-    fn commit_keeps_validity(&self, coords: &[Point2], v: u32, candidate: Point2) -> bool {
-        let at = |u: u32, pos_v: Point2| if u == v { pos_v } else { coords[u as usize] };
-        let min_area = |pos_v: Point2| {
-            self.adj
-                .triangles_of(v)
-                .iter()
-                .map(|&t| {
-                    let [a, b, c] = self.triangles[t as usize];
-                    lms_mesh::geometry::signed_area(at(a, pos_v), at(b, pos_v), at(c, pos_v))
-                })
-                .fold(f64::INFINITY, f64::min)
-        };
-        min_area(candidate) > 0.0 || min_area(coords[v as usize]) <= 0.0
-    }
-
-    /// Emit the quality-update accesses of vertex `v` (its incident
-    /// triangle records, in the `tri_base + t` id range).
-    #[inline]
-    fn trace_quality_update(&self, v: u32, tri_base: Option<u32>, sink: &mut impl AccessSink) {
-        if let Some(base) = tri_base {
-            for &t in self.adj.triangles_of(v) {
-                sink.access(base + t);
-            }
-        }
-    }
-
-    /// One in-place sweep: each visited vertex moves to the mean of its
-    /// neighbours' *current* positions (Equation (1)).
-    fn sweep_gauss_seidel(
-        &self,
-        coords: &mut [Point2],
-        sink: &mut impl AccessSink,
-        tri_base: Option<u32>,
-    ) {
-        for &v in &self.visit {
-            let ns = self.adj.neighbors(v);
-            if ns.is_empty() {
-                continue;
-            }
-            sink.access(v);
-            let pv = coords[v as usize];
-            let gathered = ns.iter().map(|&w| {
-                sink.access(w);
-                coords[w as usize]
-            });
-            let Some(candidate) = weighted_candidate(self.params.weighting, pv, gathered) else {
-                continue;
-            };
-            if self.params.smart {
-                let before = self.local_quality(coords, v);
-                if self.local_quality_with(coords, v, candidate) >= before
-                    && self.commit_keeps_validity(coords, v, candidate)
-                {
-                    coords[v as usize] = candidate;
-                }
-            } else {
-                coords[v as usize] = candidate;
-            }
-            self.trace_quality_update(v, tri_base, sink);
-        }
-    }
-
-    /// One double-buffered sweep: reads `prev`, writes `next`.
-    fn sweep_jacobi(
-        &self,
-        prev: &[Point2],
-        next: &mut [Point2],
-        sink: &mut impl AccessSink,
-        tri_base: Option<u32>,
-    ) {
-        for &v in &self.visit {
-            let ns = self.adj.neighbors(v);
-            if ns.is_empty() {
-                continue;
-            }
-            sink.access(v);
-            let pv = prev[v as usize];
-            let gathered = ns.iter().map(|&w| {
-                sink.access(w);
-                prev[w as usize]
-            });
-            let Some(candidate) = weighted_candidate(self.params.weighting, pv, gathered) else {
-                continue;
-            };
-            if self.params.smart {
-                // evaluate against the previous sweep's neighbourhood
-                let before = self.local_quality(prev, v);
-                if self.local_quality_with(prev, v, candidate) >= before
-                    && self.commit_keeps_validity(prev, v, candidate)
-                {
-                    next[v as usize] = candidate;
-                }
-            } else {
-                next[v as usize] = candidate;
-            }
-            self.trace_quality_update(v, tri_base, sink);
-        }
+        crate::domain::smooth_reference_on(
+            &self.domain(),
+            &DomainConfig::from(&self.params),
+            &self.visit,
+            mesh.coords_mut(),
+            sink,
+            trace_quality,
+        )
     }
 }
 
@@ -390,8 +225,10 @@ impl SmoothParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::UpdateScheme;
     use crate::trace::{CountSink, VecSink};
     use lms_mesh::generators;
+    use lms_mesh::geometry::Point2;
 
     #[test]
     fn smoothing_improves_quality() {

@@ -399,6 +399,8 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx")]
+    // SAFETY: the only contract is the target feature — callers check
+    // AVX at runtime first; the body is safe code.
     unsafe fn sweep_gs_smart_avx(
         &self,
         coords: &mut [D::Point],
@@ -616,6 +618,8 @@ impl<const C: usize, D: SmoothDomain<C>> SerialKernel<'_, C, D> {
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx")]
+    // SAFETY: the only contract is the target feature — callers check
+    // AVX at runtime first; the body is safe code.
     unsafe fn sweep_jacobi_smart_avx(
         &self,
         prev: &[D::Point],

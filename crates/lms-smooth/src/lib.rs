@@ -31,7 +31,9 @@
 //! with the [`dcache::DomainQualityCache`] carrying the incremental
 //! quality protocol): the 2D `TriMesh` instantiations live here, and
 //! `lms-mesh3d` instantiates the *same* sweep bodies for tetrahedra —
-//! `SmoothEngine3` and `ResidentEngine3` are thin wrappers, not copies.
+//! `SmoothEngine3` is a thin wrapper, not a copy. The resident engine is
+//! written once too: [`Resident`] runs over any [`DomainEngine`], and
+//! `ResidentEngine` / `ResidentEngine3` are its 2D / 3D instantiations.
 //!
 //! ```
 //! use lms_smooth::SmoothParams;
@@ -69,7 +71,9 @@ pub use greedy::greedy_visit_order;
 pub use parallel::{parallel_mesh_quality, smooth_parallel};
 pub use pool::PoolCache;
 pub use rebalance::{sweep_spread, AutoRebalanceEngine, RebalancePolicy};
-pub use resident::{smooth_resident, PairBatch, ResidentEngine, ResidentRank};
+pub use resident::{
+    smooth_resident, DomainEngine, PairBatch, Resident, ResidentEngine, ResidentRank,
+};
 pub use soa::{score_elements_batched, scratch_grow_count, SoaCoords, SoaLike, SoaScores, LANES};
 pub use stats::{ExchangeVolume, IterationStats, SmoothReport};
 pub use trace::{AccessSink, CountSink, NullSink, VecSink};

@@ -26,8 +26,8 @@
 //! stat accumulation — is [`ResidentRank`], and the data movement between
 //! ranks is a [`crate::transport::FtResidentTransport`] driven by the one
 //! resident loop, [`crate::transport::drive_resident_ft_with`].
-//! [`smooth_resident_on`] (and therefore this [`ResidentEngine`] and
-//! `lms-mesh3d`'s `ResidentEngine3`) runs the [`InProcessTransport`]; the
+//! [`smooth_resident_on`] (and therefore every [`Resident`] engine, 2D
+//! and 3D) runs the [`InProcessTransport`]; the
 //! `lms-dist` crate runs the identical ranks as separate worker processes
 //! through the same loop, exchanging the same batches as
 //! [`lms_part::wire`] frames — property-tested bit-identical, coordinates
@@ -58,33 +58,115 @@
 //! every decomposed engine is checked against.
 
 use crate::config::{SmoothParams, UpdateScheme, Weighting};
-use crate::domain::{DomainConfig, SmoothDomain};
+use crate::domain::{DomainConfig, DomainPoint, SmoothDomain, TriDomain};
 use crate::engine::SmoothEngine;
 use crate::kernel::candidate_for_soa;
+use crate::pool::PoolCache;
 use crate::soa::{note_scratch_grow, resize_tracked, SoaLike, SoaScores, LANES};
 use crate::stats::SmoothReport;
 use crate::transport::{drive_resident_ft_with, FtPolicy, InProcessTransport};
-use lms_mesh::{Adjacency, TriMesh};
+use lms_mesh::{Point2, TriMesh};
 use lms_part::{partition_mesh, ExchangeSchedule, MessagePlan, Partition, PartitionMethod};
 use lms_trace::{now_ns, NullTrace, PhaseBreakdown, RankPhaseNanos, Recorder};
 
+/// A serial smoothing engine seen through the pieces every decomposed
+/// engine builds on: its domain view and parameters, its interior color
+/// classes, its worker pool, and a partitioner fed from its own
+/// adjacency. [`SmoothEngine`] (triangles, `C = 3`) implements it here
+/// and `lms-mesh3d`'s `SmoothEngine3` (tetrahedra, `C = 4`) there, so
+/// [`Resident`] and `lms-dist`'s distributed engine are written once for
+/// both dimensions.
+pub trait DomainEngine<const C: usize>: Sized {
+    /// The mesh type the engine smooths.
+    type Mesh;
+    /// The parameter set the engine is built from.
+    type Params;
+    /// Coordinate type of the mesh.
+    type Point: DomainPoint;
+    /// The engine's borrowed [`SmoothDomain`] view.
+    type Domain<'a>: SmoothDomain<C, Point = Self::Point>
+    where
+        Self: 'a;
+
+    /// Build the engine (adjacency, boundary, visit order) for `mesh`.
+    fn new(mesh: &Self::Mesh, params: Self::Params) -> Self;
+
+    /// The domain view every generic sweep runs against.
+    fn domain(&self) -> Self::Domain<'_>;
+
+    /// The dimension-free slice of the engine's parameters.
+    fn domain_config(&self) -> DomainConfig;
+
+    /// Interior vertices of each color class, ascending within a class.
+    fn interior_color_classes(&self) -> &[Vec<u32>];
+
+    /// The engine-owned worker-pool cache.
+    fn pool(&self) -> &PoolCache;
+
+    /// The mesh's coordinates, in place.
+    fn coords_mut(mesh: &mut Self::Mesh) -> &mut [Self::Point];
+
+    /// Decompose `mesh` into `num_parts` with `method` over the engine's
+    /// own adjacency.
+    fn partition(&self, mesh: &Self::Mesh, num_parts: usize, method: PartitionMethod) -> Partition;
+}
+
+impl DomainEngine<3> for SmoothEngine {
+    type Mesh = TriMesh;
+    type Params = SmoothParams;
+    type Point = Point2;
+    type Domain<'a> = TriDomain<'a>;
+
+    fn new(mesh: &TriMesh, params: SmoothParams) -> Self {
+        SmoothEngine::new(mesh, params)
+    }
+
+    fn domain(&self) -> TriDomain<'_> {
+        SmoothEngine::domain(self)
+    }
+
+    fn domain_config(&self) -> DomainConfig {
+        DomainConfig::from(&self.params)
+    }
+
+    fn interior_color_classes(&self) -> &[Vec<u32>] {
+        SmoothEngine::interior_color_classes(self)
+    }
+
+    fn pool(&self) -> &PoolCache {
+        &self.pool
+    }
+
+    fn coords_mut(mesh: &mut TriMesh) -> &mut [Point2] {
+        mesh.coords_mut()
+    }
+
+    fn partition(&self, mesh: &TriMesh, num_parts: usize, method: PartitionMethod) -> Partition {
+        partition_mesh(mesh, &self.adj, num_parts, method)
+    }
+}
+
 /// Domain-decomposed Gauss–Seidel smoothing over blocks that stay
 /// resident for the whole run, with halo-delta exchange between interface
-/// color steps. See the module docs for the protocol.
+/// color steps, over any [`DomainEngine`]. See the module docs for the
+/// protocol.
 #[derive(Debug, Clone)]
-pub struct ResidentEngine {
-    engine: SmoothEngine,
+pub struct Resident<const C: usize, E> {
+    engine: E,
     partition: Partition,
     schedule: ExchangeSchedule,
     /// Interface vertices (mesh-interior) grouped by global color class —
     /// the engine's interior color classes restricted to the interface,
     /// empty classes dropped (see [`interface_classes`]).
     interface_classes: Vec<Vec<u32>>,
-    blocks: Vec<ResidentBlock<3>>,
+    blocks: Vec<ResidentBlock<C>>,
     /// Constant global element weights `w_t` of the quality functional —
     /// computed once at construction, shared with every run's statistic.
     elem_w: Vec<f64>,
 }
+
+/// The resident engine of triangle meshes.
+pub type ResidentEngine = Resident<3, SmoothEngine>;
 
 /// Immutable per-part topology of a resident block, generic in the
 /// element corner count `C`. Local vertex ids follow the
@@ -710,6 +792,8 @@ impl<'a, const C: usize, D: SmoothDomain<C>> ResidentRank<'a, C, D> {
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx")]
+    // SAFETY: the only contract is the target feature — the caller checks
+    // AVX at runtime first; the body is safe code.
     unsafe fn sweep_range_smart_avx(
         &mut self,
         span: SweepSpan,
@@ -995,44 +1079,45 @@ pub fn smooth_resident_profiled_on<const C: usize, D: SmoothDomain<C>>(
     (report, recorder)
 }
 
-impl ResidentEngine {
+impl<const C: usize, E: DomainEngine<C>> Resident<C, E> {
     /// Build a resident engine for `mesh` under `params` and an existing
     /// decomposition (Gauss–Seidel parameters only).
-    pub fn new(mesh: &TriMesh, params: SmoothParams, partition: Partition) -> Self {
+    pub fn new(mesh: &E::Mesh, params: E::Params, partition: Partition) -> Self {
+        Self::with_engine(E::new(mesh, params), partition)
+    }
+
+    /// Convenience: decompose `mesh` into `num_parts` with `method`, then
+    /// build the engine. The partitioner reads the serial engine's own
+    /// adjacency, so the topology is built once.
+    pub fn by_method(
+        mesh: &E::Mesh,
+        params: E::Params,
+        num_parts: usize,
+        method: PartitionMethod,
+    ) -> Self {
+        let engine = E::new(mesh, params);
+        let partition = engine.partition(mesh, num_parts, method);
+        Self::with_engine(engine, partition)
+    }
+
+    fn with_engine(engine: E, partition: Partition) -> Self {
+        let dom = engine.domain();
+        assert_eq!(partition.len(), dom.num_vertices(), "partition was built for a different mesh");
         assert_eq!(
-            partition.len(),
-            mesh.num_vertices(),
-            "partition was built for a different mesh"
-        );
-        assert_eq!(
-            params.update,
+            engine.domain_config().update,
             UpdateScheme::GaussSeidel,
             "resident smoothing is an in-place (Gauss-Seidel) schedule; \
              use smooth_parallel for deterministic Jacobi"
         );
-        let engine = SmoothEngine::new(mesh, params);
         let interface_classes = interface_classes(engine.interior_color_classes(), &partition);
         let schedule = ExchangeSchedule::build(&partition);
-        let (blocks, elem_w) =
-            build_resident_blocks(&engine.domain(), &partition, &interface_classes);
-        ResidentEngine { engine, partition, schedule, interface_classes, blocks, elem_w }
-    }
-
-    /// Convenience: decompose `mesh` into `num_parts` with `method`, then
-    /// build the engine.
-    pub fn by_method(
-        mesh: &TriMesh,
-        params: SmoothParams,
-        num_parts: usize,
-        method: PartitionMethod,
-    ) -> Self {
-        let adj = Adjacency::build(mesh);
-        let partition = partition_mesh(mesh, &adj, num_parts, method);
-        ResidentEngine::new(mesh, params, partition)
+        let (blocks, elem_w) = build_resident_blocks(&dom, &partition, &interface_classes);
+        drop(dom);
+        Resident { engine, partition, schedule, interface_classes, blocks, elem_w }
     }
 
     /// The underlying serial engine (adjacency, boundary, parameters).
-    pub fn engine(&self) -> &SmoothEngine {
+    pub fn engine(&self) -> &E {
         &self.engine
     }
 
@@ -1053,7 +1138,7 @@ impl ResidentEngine {
 
     /// The per-part resident topologies — one block per part, the
     /// per-rank state of a distributed backend.
-    pub fn blocks(&self) -> &[ResidentBlock<3>] {
+    pub fn blocks(&self) -> &[ResidentBlock<C>] {
         &self.blocks
     }
 
@@ -1065,11 +1150,18 @@ impl ResidentEngine {
 
     /// The serial visit order this engine's sweep is exactly equal to:
     /// each part's interior vertices ascending, parts in order, then the
-    /// interface color classes class-major. Feed it to
-    /// [`SmoothEngine::with_visit_order`] to reproduce the resident
-    /// result bit for bit on the serial engine.
+    /// interface color classes class-major. Feed it to the serial
+    /// engine's `with_visit_order` to reproduce the resident result bit
+    /// for bit.
     pub fn part_major_visit_order(&self) -> Vec<u32> {
         resident_part_major_order(&self.blocks, &self.interface_classes)
+    }
+
+    /// The mesh's coordinates, checked against the engine's vertex count.
+    fn coords_of<'m>(&self, mesh: &'m mut E::Mesh) -> &'m mut [E::Point] {
+        let coords = E::coords_mut(mesh);
+        assert_eq!(coords.len(), self.partition.len(), "engine was built for a different mesh");
+        coords
     }
 
     /// Resident in-place Gauss–Seidel smoothing: one full gather, local
@@ -1077,23 +1169,18 @@ impl ResidentEngine {
     /// parallel disjoint scatter. Race-free, bitwise-deterministic for any
     /// `num_threads`, and exactly serial Gauss–Seidel under
     /// [`part_major_visit_order`](Self::part_major_visit_order).
-    pub fn smooth(&self, mesh: &mut TriMesh, num_threads: usize) -> SmoothReport {
+    pub fn smooth(&self, mesh: &mut E::Mesh, num_threads: usize) -> SmoothReport {
         assert!(num_threads >= 1, "need at least one thread");
-        assert_eq!(
-            mesh.num_vertices(),
-            self.engine.adj.num_vertices(),
-            "engine was built for a different mesh"
-        );
-        let pool = self.engine.pool.get(num_threads);
-        let dom = self.engine.domain();
+        let coords = self.coords_of(mesh);
+        let pool = self.engine.pool().get(num_threads);
         smooth_resident_on(
-            &dom,
-            &DomainConfig::from(&self.engine.params),
+            &self.engine.domain(),
+            &self.engine.domain_config(),
             &self.blocks,
             &self.elem_w,
             &self.interface_classes,
             &self.schedule,
-            mesh.coords_mut(),
+            coords,
             &pool,
         )
     }
@@ -1105,25 +1192,20 @@ impl ResidentEngine {
     /// every other report field are bit-identical to an unprofiled run.
     pub fn smooth_profiled(
         &self,
-        mesh: &mut TriMesh,
+        mesh: &mut E::Mesh,
         num_threads: usize,
     ) -> (SmoothReport, Recorder) {
         assert!(num_threads >= 1, "need at least one thread");
-        assert_eq!(
-            mesh.num_vertices(),
-            self.engine.adj.num_vertices(),
-            "engine was built for a different mesh"
-        );
-        let pool = self.engine.pool.get(num_threads);
-        let dom = self.engine.domain();
+        let coords = self.coords_of(mesh);
+        let pool = self.engine.pool().get(num_threads);
         smooth_resident_profiled_on(
-            &dom,
-            &DomainConfig::from(&self.engine.params),
+            &self.engine.domain(),
+            &self.engine.domain_config(),
             &self.blocks,
             &self.elem_w,
             &self.interface_classes,
             &self.schedule,
-            mesh.coords_mut(),
+            coords,
             &pool,
         )
     }

@@ -21,7 +21,7 @@
 //!
 //! The module also hosts the scratch-reallocation counter backing the
 //! sweep allocation audit: reusable hot-loop buffers route growth through
-//! [`resize_tracked`], and tests pin that steady-state sweeps perform
+//! `resize_tracked`, and tests pin that steady-state sweeps perform
 //! zero reallocations.
 
 use crate::domain::{DomainPoint, SmoothDomain};
@@ -353,6 +353,9 @@ pub(crate) fn sqrt_div_lanes(num: &[f64; LANES], den: &[f64; LANES], out: &mut [
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
+// SAFETY: callers must have verified AVX at runtime (`sqrt_div_lanes`
+// does); the unaligned loads/stores move exactly `LANES` f64s through
+// pointers into the borrowed `LANES`-long arrays.
 unsafe fn sqrt_div_lanes_avx(num: &[f64; LANES], den: &[f64; LANES], out: &mut [f64; LANES]) {
     use core::arch::x86_64::*;
     const { assert!(LANES == 4, "one 256-bit register holds exactly one block") };
@@ -362,6 +365,9 @@ unsafe fn sqrt_div_lanes_avx(num: &[f64; LANES], den: &[f64; LANES], out: &mut [
 }
 
 #[cfg(target_arch = "x86_64")]
+// SAFETY: SSE2 is part of the x86-64 baseline; `h + 2 <= LANES` (the
+// const assert pins an even `LANES`), so every pointer offset and
+// 2-lane load/store stays inside the borrowed arrays.
 unsafe fn sqrt_div_lanes_sse2(num: &[f64; LANES], den: &[f64; LANES], out: &mut [f64; LANES]) {
     use core::arch::x86_64::*;
     const { assert!(LANES.is_multiple_of(2), "blocks split into 128-bit halves") };

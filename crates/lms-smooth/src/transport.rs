@@ -491,7 +491,12 @@ fn initial_scores<const C: usize, D: SmoothDomain<C>>(
 /// parts own disjoint global vertex sets (a partition invariant,
 /// property-tested in `lms-part`), so no slot is written by two parts.
 struct ScatterPtr<P>(*mut P);
+// SAFETY: the pointer is only written through, at slots owned by exactly
+// one part, while the borrowed coordinate slice outlives the scatter —
+// sharing it across workers cannot race.
 unsafe impl<P> Sync for ScatterPtr<P> {}
+// SAFETY: as for `Sync` — moving the pointer to a worker hands it no
+// access another worker also has.
 unsafe impl<P> Send for ScatterPtr<P> {}
 
 /// The shared-address-space transport: every part is a [`ResidentRank`]

@@ -179,3 +179,31 @@ fn engine_runs_spawn_threads_once() {
         "repeat runs must reuse the engine's parked workers"
     );
 }
+
+/// `by_method` partitions on the serial engine's own adjacency instead of
+/// building a second one; the result must be exactly the engine built
+/// from an explicitly computed partition — same assignment, bit-identical
+/// coordinates, equal report.
+#[test]
+fn by_method_equals_new_over_an_explicit_partition() {
+    let mesh = lms_mesh::generators::perturbed_grid(15, 13, 0.35, 11);
+    let params = SmoothParams::paper().with_smart(true).with_max_iters(4).with_tol(-1.0);
+    for method in PartitionMethod::ALL {
+        for k in [1usize, 3, 6] {
+            let by_method = ResidentEngine::by_method(&mesh, params.clone(), k, method);
+            let adj = lms_mesh::Adjacency::build(&mesh);
+            let partition = lms_part::partition_mesh(&mesh, &adj, k, method);
+            let explicit = ResidentEngine::new(&mesh, params.clone(), partition);
+            assert_eq!(by_method.partition(), explicit.partition(), "{method:?} k={k}");
+            let mut a = mesh.clone();
+            let ra = by_method.smooth(&mut a, 2);
+            let mut b = mesh.clone();
+            let rb = explicit.smooth(&mut b, 2);
+            let bits = |m: &TriMesh| -> Vec<[u64; 2]> {
+                m.coords().iter().map(|p| [p.x.to_bits(), p.y.to_bits()]).collect()
+            };
+            assert_eq!(bits(&a), bits(&b), "{method:?} k={k}: coordinates differ");
+            assert_eq!(ra, rb, "{method:?} k={k}");
+        }
+    }
+}
